@@ -140,54 +140,75 @@ def g_weight(k: float, c: float, zeta: float) -> float:
     return float(_g_smooth(k, c, zeta) * math.sqrt((1.0 + zeta) / (1.0 - zeta)))
 
 
-def _g_slope_at_c(k: float, c: float) -> float:
-    """d g / d zeta at zeta = c by central difference.
+# Gauss rule for the edge weight w(x) = sqrt((1+x)/(1-x)) on (-1, 1):
+# nodes are the zeros of the third-kind Chebyshev polynomial V_n, and
+# both nodes and weights are closed form (Mason & Handscomb,
+# Chebyshev Polynomials, 2003).
+# Integrands below are analytic on a Bernstein ellipse around [-1, 1],
+# so sums converge geometrically in n.
+_GAUSS_N0 = 16
+_GAUSS_NMAX = 2048
 
-    Step 1e-5, shrunk when c sits near an endpoint: g has a branch
-    point at distance 1 -+ c, so the step must stay well inside it.
+
+@lru_cache(maxsize=None)
+def _gauss_w(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for w: x_j = cos((2j-1) pi/(2n+1)),
+    w_j = 2 pi (1 + x_j)/(2n+1), with 1 + x_j written as 2 cos^2."""
+    theta = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2 * n + 1)
+    rule = np.cos(theta), 4.0 * math.pi * np.cos(0.5 * theta) ** 2 / (2 * n + 1)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return rule
+
+
+def _w_integral(f, tol: float, what: str) -> float:
+    """Integral of w(x) f(x) over (-1, 1) for f analytic near [-1, 1].
+
+    Doubles the Gauss rule from 16 nodes until two successive sums agree
+    within tol; past 2048 nodes (a branch point of f crowding an end,
+    as for k -> 1) hands f to the adaptive engine instead.
     """
-    h = min(1e-5, 0.05 * (1.0 - c), 0.05 * (1.0 + c))
-    gp = _g_smooth(k, c, c + h) * math.sqrt((1.0 + c + h) / (1.0 - c - h))
-    gm = _g_smooth(k, c, c - h) * math.sqrt((1.0 + c - h) / (1.0 - c + h))
-    return float((gp - gm) / (2.0 * h))
-
-
-def _guard_window(c: float) -> float:
-    """Half-width of the removable-point guard around zeta = c.
-
-    1e-7 generically, but never more than 1e-3 of the distance to the
-    nearer branch point: the linear replacement is only valid well
-    inside the disc of analyticity around c.
-    """
-    return min(1e-7, 1e-3 * (1.0 - c), 1e-3 * (1.0 + c))
+    prev = math.nan
+    n = _GAUSS_N0
+    while n <= _GAUSS_NMAX:
+        x, w = _gauss_w(n)
+        total = float(np.dot(w, f(x)))
+        if abs(total - prev) <= tol:
+            return total
+        prev = total
+        n *= 2
+    val, err = integrate_singular(f, -1.0, 1.0, (0.5, -0.5), tol=tol)
+    if not math.isfinite(val):
+        raise AccuracyError(f"non-finite value of {what}", best=val, err_est=err)
+    return float(val)
 
 
 def bigF(k: float, c: float, tol: float = 1e-10) -> float:
     """Regularized accessory functional F(k, c) for the first family.
 
     Integral over (-1, 1) of (g(c,zeta) - 1)/(zeta - c) plus the
-    regularizing term log((1-c)/(1+c)).  The quotient is evaluated as a
-    guarded limit near the removable point zeta = c.
+    regularizing term log((1-c)/(1+c)).  With g = w g_s and g_c =
+    g_s(c) = sqrt((1-c)/(1+c)), the principal values PV int w/(x-c) = pi
+    and PV int 1/(x-c) = log((1-c)/(1+c)) leave
+
+        F = int w (g_s(x) - g_c)/(x - c) + pi g_c,
+
+    whose divided difference has x - c cancelled in closed form, so a
+    node on c needs no special case.
     """
     if not (k > 1.0 and 0.0 < c < 1.0):
         raise DomainError(f"need k > 1 and c in (0,1), got k={k!r}, c={c!r}")
-    slope = _g_slope_at_c(k, c)
-    guard = _guard_window(c)
+    big_c = (1.0 - c) * (k + c) / ((1.0 + c) * (k - c))
+    g_c = math.sqrt((1.0 - c) / (1.0 + c))
+    kc = k / c
 
-    # weight (1+z)^(1/2) (1-z)^(-1/2) is handed to the quadrature, so
-    # divide it out of the raw integrand here
-    def f0(z: np.ndarray) -> np.ndarray:
-        edge = np.sqrt((1.0 + z) / (1.0 - z))
-        g = _g_smooth(k, c, z) * edge
-        with np.errstate(divide="ignore", invalid="ignore"):
-            base = (g - 1.0) / (z - c)
-        near = np.abs(z - c) < guard
-        if np.any(near):
-            base = np.where(near, slope, base)
-        return base / edge
+    # g_s(x) = q(x) (c + k/c)/(x + k/c) with q(x)^2 = C (k-x)/(k+x) and
+    # q(c) = g_c; split g_s - g_c = q (c - x)/(x + k/c) + (q - g_c)
+    def divided(x: np.ndarray) -> np.ndarray:
+        q = np.sqrt(big_c * (k - x) / (k + x))
+        return -q / (x + kc) - 2.0 * k * big_c / ((k + x) * (k + c) * (q + g_c))
 
-    val, _ = integrate_singular(f0, -1.0, 1.0, (0.5, -0.5), tol=tol)
-    return float(val) + math.log((1.0 - c) / (1.0 + c))
+    return _w_integral(divided, tol, f"F(k={k}, c={c})") + math.pi * g_c
 
 
 def amp_A(k: float, c: float) -> float:
@@ -203,19 +224,33 @@ def family2_integral(k: float, c: float, tol: float = 1e-10) -> float:
     Integral over (-1, 1) of
     (c^2+k)/(cx+k) sqrt((c-1)(k+c)(1+x)(k-x)/((c+1)(k-c)(1-x)(k+x))) / (x-c);
     real and negative, equal to -pi exactly at the accessory root.
+
+    With s(x) = sqrt((k-x)/(k+x)), partial fractions over the poles c and
+    p = -k/c turn it into P [I(c) - I(p)], P = sqrt((c-1)(k+c)/((c+1)(k-c))),
+    I(q) = int w s/(x-q) = int w (s(x) - s(q))/(x-q) + s(q) H(q), where
+    H(q) = int w/(x-q) = pi (1 - sqrt((q+1)/(q-1))) for |q| > 1.  Then
+    s(c) = sqrt((k-c)/(k+c)), s(p) = sqrt((c+1)/(c-1)) and the H terms
+    collapse to pi (s(c) - s(p)).  The split keeps p, which reaches -1
+    as c -> k, out of the sum.
     """
     k_crit = critical_constants().k_crit
     if not k > k_crit:
         raise DomainError(f"second family requires k > {k_crit}, got {k!r}")
     if not 1.0 < c < k:
         raise DomainError(f"need c in (1, k), got c={c!r}")
-    amp = (c * c + k) * math.sqrt((c - 1.0) * (k + c) / ((c + 1.0) * (k - c)))
+    s_c = math.sqrt((k - c) / (k + c))
+    s_p = math.sqrt((c + 1.0) / (c - 1.0))
+    kp = k * (c - 1.0) / c  # k + p, free of cancellation as c -> 1
+    scale = math.sqrt((c - 1.0) * (k + c) / ((c + 1.0) * (k - c)))
 
-    def f0(x: np.ndarray) -> np.ndarray:
-        return amp / (c * x + k) * np.sqrt((k - x) / (k + x)) / (x - c)
+    # (s(x) - s(q))/(x - q) = -2k/((k+x)(k+q)(s(x)+s(q))), at q = c and p
+    def divided(x: np.ndarray) -> np.ndarray:
+        s = np.sqrt((k - x) / (k + x))
+        return (-2.0 * k / (k + x)) * (1.0 / ((k + c) * (s + s_c))
+                                       - 1.0 / (kp * (s + s_p)))
 
-    val, _ = integrate_singular(f0, -1.0, 1.0, (0.5, -0.5), tol=tol)
-    return float(val)
+    total = _w_integral(divided, tol / scale, f"family-2 integral (k={k}, c={c})")
+    return scale * (total + math.pi * (s_c - s_p))
 
 
 # probe grid covering both endpoint approaches of (0, 1)
@@ -229,6 +264,9 @@ _F1_SCAN = sorted(set(
 def _scan_bracket(fun, grid, what: str) -> tuple[float, float]:
     """Locate sign changes of fun over grid; demand exactly one."""
     values = [fun(c) for c in grid]
+    for c, v in zip(grid, values):
+        if not math.isfinite(v):
+            raise BracketError(f"{what} is {v} at the probe {c!r}")
     changes = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
                if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0)]
     if not changes:
@@ -287,7 +325,7 @@ def _family1_root(k: float, tol: float) -> tuple[float, float]:
     return c, residual
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=16)
 def solve_family1(k: float, tol: float = C_TOL) -> AccessorySolution:
     """Solve the first-family accessory problem at corner parameter k.
 
@@ -319,7 +357,7 @@ def _family2_grid(k: float) -> list[float]:
     return sorted(set(float(p) for p in pts))
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=16)
 def solve_family2(k: float, tol: float = C_TOL) -> AccessorySolution:
     """Solve the second-family accessory problem at corner parameter k.
 

@@ -52,11 +52,13 @@ def _integrand(k: float, c: float, A: float):
 
 
 def _integrand_from(k: float, c: float, A: float, e: float, s: float):
-    """L-integrand at z = e + s*delta as a function of delta >= 0.
+    """L-integrand at z = e + s*delta as a function of the displacement.
 
-    Every factor is an offset from e plus the displacement, so nodes
-    close to e keep full precision; reconstructing z first and
-    subtracting would zero out differences below one ulp of z.
+    delta is real (>= 0) along a segment, or complex with a positive
+    imaginary part along a detour arc around e.  Every factor is an
+    offset from e plus the displacement, so nodes close to e keep full
+    precision; reconstructing z first and subtracting would zero out
+    differences below one ulp of z.
     """
     d = -k / c
     o_p1, o_m1 = e + 1.0, e - 1.0
@@ -64,7 +66,7 @@ def _integrand_from(k: float, c: float, A: float, e: float, s: float):
     o_c, o_d = e - c, e - d
 
     def f(delta):
-        delta = np.asarray(delta, dtype=float)
+        delta = np.asarray(delta)
         f_p1 = np.asarray(o_p1 + s * delta, dtype=complex)
         f_m1 = np.asarray(o_m1 + s * delta, dtype=complex)
         f_mk = np.asarray(o_mk + s * delta, dtype=complex)
@@ -129,7 +131,6 @@ def _march(k: float, c: float, A: float, targets: list[float],
     touching end) and detour over poles on semicircles through the upper
     half-plane.  Pole radii shrink if a target sits close by.
     """
-    f = _integrand(k, c, A)
     branch, poles = _singular_points(k, c)
     branch_set = set(branch)
     r0 = ARC_FACTOR * _min_gap(k, c)
@@ -170,8 +171,10 @@ def _march(k: float, c: float, A: float, targets: list[float],
                 r = radius[pos]
                 val += _real_segment(k, c, A, cur, pos + r, tol,
                                      sqrt_start=cur in branch_set)
-                # leftward travel: upper semicircle from angle 0 to pi
-                val += integrate_arc(f, complex(pos, 0.0), r, 0.0, math.pi, tol)
+                # leftward travel: upper semicircle from angle 0 to pi,
+                # integrated in the displacement from the pole
+                val += integrate_arc(_integrand_from(k, c, A, pos, 1.0),
+                                     0.0, r, 0.0, math.pi, tol)
                 cur = pos - r
             else:
                 val += _real_segment(k, c, A, cur, pos, tol,

@@ -1,8 +1,17 @@
 """Shared fixtures and the acceptance-report summary hook."""
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sphrect import critical_constants, solve_family1, solve_family2
+
+# pyproject's pythonpath puts src/ on sys.path for a bare `pytest`; export
+# it too, for the interpreters that the CLI tests start
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # (number, description, passed) tuples recorded by the `criterion` fixture;
 # replayed after the run so each criterion gets one visible pass/fail line

@@ -67,9 +67,18 @@ def test_solve_usage_errors():
 def test_solve_nonconvergence_exit():
     # inside the collar where the root collides with the branch point:
     # honest failure, not a silent wrong answer
-    code, _, err = run_cli("solve", "--k", "2.430504")
+    code, _, err = run_cli("solve", "--k", "2.43050515")
     assert code == 3
     assert "converge" in err
+
+
+def test_solve_next_to_collar():
+    # k_crit - 1.16e-6: solved, with 1 - c close to 0.617 |k - k_crit|
+    code, out, _ = run_cli("solve", "--k", "2.430504")
+    assert code == 0
+    data = json.loads(out)
+    assert 1.0 - data["c"] == pytest.approx(7.17e-7, rel=1e-2)
+    assert abs(data["residual"]) <= 1e-9
 
 
 def test_modulus_both_directions():
