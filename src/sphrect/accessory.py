@@ -4,8 +4,9 @@ The developing map has simple poles at c and d = -k/c.  For k below the
 critical value the accessory parameter c lies in (0, 1) and solves
 F(k, c) = 0, a regularized principal-value condition; past the critical
 value c lies in (1, k) and is fixed by a definite integral equalling
--pi.  Both conditions have a single sign change in c, so bracketed
-bisection is the whole root-finding story.
+-pi.  Both conditions have a single sign change in c.  A probe scan
+brackets it, bisection on loose evaluations narrows the bracket to
+width 1e-4, and Brent's method on tight evaluations finishes the root.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from .constants import critical_constants
 from .errors import AccuracyError, BracketError, DomainError
 from .modulus import modulus_of_k
 from .quadrature import integrate_singular
+from .roots import _brent
 
 __all__ = [
     "Family",
@@ -34,7 +36,7 @@ __all__ = [
     "solve_family2",
 ]
 
-# solver tolerances: bisection width on c, and the functional residual
+# solver tolerances: final bracket width on c, and the functional residual
 C_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 
@@ -278,9 +280,9 @@ def _scan_bracket(fun, grid, what: str) -> tuple[float, float]:
 
 def _bisect(fun_loose, fun_tight, lo: float, hi: float, ctol: float,
             lo_min: float, hi_max: float) -> float:
-    """Two-phase bisection: cheap evaluations down to width 1e-4, then
-    tight evaluations to ctol.  The bracket is re-verified at the switch;
-    any widening stays inside [lo_min, hi_max]."""
+    """Bisection on cheap evaluations down to width 1e-4, then Brent's
+    method on tight evaluations down to ctol.  The bracket is re-verified
+    at the switch; any widening stays inside [lo_min, hi_max]."""
     f_lo = fun_loose(lo)
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
@@ -302,18 +304,7 @@ def _bisect(fun_loose, fun_tight, lo: float, hi: float, ctol: float,
                 break
         else:
             raise BracketError("bracket lost after tightening quadrature")
-    while hi - lo > ctol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = fun_tight(mid)
-        if fm == 0.0:
-            return mid
-        if (f_lo > 0.0) == (fm > 0.0):
-            lo, f_lo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _brent(fun_tight, lo, hi, f_lo, f_hi, ctol)
 
 
 def _family1_root(k: float, tol: float) -> tuple[float, float]:

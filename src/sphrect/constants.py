@@ -15,6 +15,7 @@ from functools import lru_cache
 from .elliptic import ellip_E, ellip_K
 from .errors import DomainError
 from .modulus import modulus_of_k
+from .roots import _brent
 
 __all__ = [
     "CriticalConstants",
@@ -51,23 +52,16 @@ def _k_minus_2e(x: float) -> float:
 
 
 def kappa_prime_crit(tol: float = 1e-12) -> float:
-    """Unique root of K(x) - 2E(x) on (0, 1), by bisection.
+    """Unique root of K(x) - 2E(x) on (0, 1), by Brent's method.
 
     K - 2E is strictly increasing (K' > 0, E' < 0), negative at 0.5 and
     positive at 0.99, so the bracket below always contains the root.
     """
     lo, hi = 0.1, 0.999
-    if not (_k_minus_2e(lo) < 0.0 < _k_minus_2e(hi)):
-        raise DomainError("bisection bracket for K = 2E lost its sign change")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _k_minus_2e(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    f_lo, f_hi = _k_minus_2e(lo), _k_minus_2e(hi)
+    if not f_lo < 0.0 < f_hi:
+        raise DomainError("bracket for K = 2E lost its sign change")
+    return _brent(_k_minus_2e, lo, hi, f_lo, f_hi, tol)
 
 
 def derive_k_crit(tol: float = 1e-12) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accessory import AccessorySolution
+from .accessory import AccessorySolution, _w_integral
 from .errors import DomainError
 from .quadrature import (DEFAULT_BUDGET, _run_pieces, _vectorized,
                          integrate_arc, integrate_segment)
@@ -238,9 +238,39 @@ def L_eval(sol: AccessorySolution, z: complex, tol: float = 1e-10,
 
 def alpha_from_parts(k: float, c: float, A: float, tol: float = 1e-10) -> float:
     """Angle parameter from raw solver output, before an
-    AccessorySolution exists (used during solve)."""
-    l1 = _march(k, c, A, [1.0], tol)[1.0]
-    return _orbit_reduce(l1.imag / math.pi)
+    AccessorySolution exists (used during solve).
+
+    On (1, k) the integrand of L is -i A |sigma|/((x-c)(x+k/c)), and
+    x = m - h u (m = (1+k)/2, h = (k-1)/2) turns |sigma| into
+    w(u) r(x), r = sqrt((x+1)/(x+k)), with the edge weight w of the
+    accessory functionals.  With g = r/(x+k/c), g_c = g(c) and
+    u_c = (m-c)/h,
+
+        Im L(1) = -A [h int w (g(x) - g_c)/(x - c) du - g_c H(u_c)],
+
+    H the Hilbert transform of w: pi when c lies inside (1, k) (the
+    detour over c adds a real half-residue only), and
+    pi (1 - sqrt((k-c)/(1-c))) when c lies in (0, 1).  The divided
+    difference has x - c cancelled in closed form.
+    """
+    m, h = 0.5 * (1.0 + k), 0.5 * (k - 1.0)
+    kc = k / c
+    r_c = math.sqrt((c + 1.0) / (c + k))
+    g_c = r_c / (c + kc)
+    if c > 1.0:
+        hilbert = math.pi
+    else:
+        hilbert = -math.pi * (k - 1.0) / ((1.0 - c) + math.sqrt((1.0 - c) * (k - c)))
+
+    # (r(x) - r_c)/(x - c) = (k-1)/((x+k)(c+k)(r(x) + r_c))
+    def divided(u: np.ndarray) -> np.ndarray:
+        x = m - h * u
+        r = np.sqrt((x + 1.0) / (x + k))
+        return (-r / ((x + kc) * (c + kc))
+                + (k - 1.0) / ((c + kc) * (x + k) * (c + k) * (r + r_c)))
+
+    total = _w_integral(divided, tol / (A * h), f"alpha (k={k}, c={c})")
+    return _orbit_reduce(-A * (h * total - g_c * hilbert) / math.pi)
 
 
 def extract_alpha(sol: AccessorySolution, tol: float = 1e-10) -> float:

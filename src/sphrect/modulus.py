@@ -4,7 +4,7 @@ For k > 1 the branch points -k, -1, 1, k cut out a ring domain whose
 modulus is expressible through complete elliptic integrals; the same
 quantity is also a ratio of two period integrals, kept here as an
 independent cross-check.  The modulus is strictly increasing in k and
-maps (1, inf) onto (0, inf), so inversion is a plain bisection.
+maps (1, inf) onto (0, inf), so inversion is a bracketed root search.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import math
 from .elliptic import ellip_K
 from .errors import AccuracyError, DomainError
 from .quadrature import integrate_singular
+from .roots import _brent
 
 __all__ = ["modulus_of_k", "modulus_oracle", "k_of_modulus"]
 
@@ -53,7 +54,7 @@ def modulus_oracle(k: float, tol: float = 1e-10) -> float:
 
 
 def k_of_modulus(target: float, tol: float = 1e-12) -> float:
-    """Inverse of modulus_of_k by bisection.
+    """Inverse of modulus_of_k by Brent's method.
 
     Mathematically any target in (0, inf) is attainable, but in double
     precision k cannot sit closer to 1 than one ulp, which floors the
@@ -62,23 +63,20 @@ def k_of_modulus(target: float, tol: float = 1e-12) -> float:
     target = float(target)
     if not target > 0.0:
         raise DomainError(f"modulus must be positive, got {target!r}")
+
+    def miss(k: float) -> float:
+        # a miss within tol counts as a root, which ends the search there
+        d = modulus_of_k(k) - target
+        return 0.0 if abs(d) <= tol else d
+
     lo = 1.0 + 1e-15
     hi = 2.0
-    while modulus_of_k(hi) < target:
+    while (f_hi := miss(hi)) < 0.0:
         hi *= 4.0
         if hi > 1e300:  # unreachable for any float target
             raise AccuracyError(f"modulus target {target} out of float range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if modulus_of_k(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(modulus_of_k(0.5 * (lo + hi)) - target) <= tol:
-            break
-    k = 0.5 * (lo + hi)
+    f_lo = miss(lo)
+    k = lo if f_lo >= 0.0 else _brent(miss, lo, hi, f_lo, f_hi, 0.0)
     if abs(modulus_of_k(k) - target) > max(tol, 1e-9):
         raise AccuracyError(
             f"k_of_modulus({target}) unattainable in double precision "

@@ -141,3 +141,13 @@ def test_solve_family2_next_to_critical(dk):
     # the pole detour of the alpha extraction has radius ~ 1e-7 here
     _assert_root(solve_family2(K_CRIT + dk),
                  lambda k, c: family2_ref(k, c) + mp.pi)
+
+
+@pytest.mark.parametrize("k", [2.4953824488952305, 2.4953842505197876])
+def test_solve_family2_where_the_fp_oracle_misreads(k):
+    # a double-precision tanh-sinh of this integral reads +1.2e-10 at
+    # these roots; at 30 digits the functional vanishes there
+    sol = solve_family2(k)
+    with mp.workdps(30):
+        assert abs(family2_ref(k, sol.c) + mp.pi) <= 1e-12
+    _assert_root(sol, lambda k, c: family2_ref(k, c) + mp.pi)
