@@ -2,23 +2,18 @@
 developing maps, and Belyi-map verification for the quadrilateral
 family with corner angles (3/2, 1/2, 3/2, 1/2) half-turns."""
 from .accessory import (AccessorySolution, Family, QuadParam, amp_A, bethe_h,
-                        bigF, family2_integral, g_weight, solve_family1,
-                        solve_family2)
+                        bigF, family2_integral, solve_family1, solve_family2)
 from .belyi import (ExampleReport, PortraitPoint, RamificationPortrait,
                     RationalMap, dihedral_invariant, example_consistency,
                     example_map, verify_belyi)
-from .constants import (CriticalConstants, b1, critical_constants,
-                        derive_k_crit, halphen_series,
-                        halphen_series_alternating, kappa_prime_crit,
-                        one_ninth_lambda)
+from .constants import CriticalConstants, critical_constants, kappa_prime_crit
 from .developing import (BoundaryImageReport, SideImage, L_eval,
                          boundary_check, extract_alpha, pole_residue)
-from .elliptic import EllipticModulus, agm, ellip_E, ellip_K
+from .elliptic import agm, ellip_E, ellip_K
 from .errors import (AccuracyError, BelyiViolationError, BracketError,
-                     DomainError, PathError, SphrectError)
+                     DomainError, SphrectError)
 from .modulus import k_of_modulus, modulus_of_k, modulus_oracle
-from .quadrature import (ComplexPath, EndpointExponents, integrate_arc,
-                         integrate_path, integrate_segment,
-                         integrate_singular, integrate_sqrt_endpoints)
+from .quadrature import (EndpointExponents, integrate_arc, integrate_segment,
+                         integrate_singular)
 
 __version__ = "0.1.0"

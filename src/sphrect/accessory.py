@@ -28,7 +28,6 @@ __all__ = [
     "QuadParam",
     "AccessorySolution",
     "bethe_h",
-    "g_weight",
     "bigF",
     "amp_A",
     "solve_family1",
@@ -92,13 +91,6 @@ class AccessorySolution:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
         if not self.modulus > 0.0:
             raise DomainError(f"modulus must be positive, got {self.modulus}")
-        # pole pairing d = -k/c leaves h invariant; a wrong pairing is an
-        # O(1) relative mismatch.  Gate loosely: h blows up as c -> 1 and
-        # the rounding of d alone then costs ~ eps / (1 - c) relative.
-        ha = bethe_h(k, self.c)
-        hb = bethe_h(k, -k / self.c)
-        if abs(ha - hb) > 1e-9 * max(1.0, abs(ha)):
-            raise DomainError(f"pole pairing violated: h(c)={ha!r}, h(-k/c)={hb!r}")
 
     @property
     def k(self) -> float:
@@ -116,30 +108,6 @@ def bethe_h(k: float, x: float) -> float:
     if x == 1.0 or x == -k:
         raise DomainError(f"h has a pole at x = {x}")
     return (1.0 + x) * (k - x) / ((1.0 - x) * (k + x))
-
-
-def _g_smooth(k: float, c: float, zeta):
-    """g_weight with the edge factor sqrt((1+z)/(1-z)) divided out.
-
-    Smooth on all of [-1, 1]; works elementwise on arrays.
-    """
-    kc = k / c
-    return ((c + kc) / (zeta + kc)) * np.sqrt(
-        (1.0 - c) * (k + c) * (k - zeta) / ((1.0 + c) * (k - c) * (k + zeta)))
-
-
-def g_weight(k: float, c: float, zeta: float) -> float:
-    """Weight g(c, zeta) of the principal-value condition, real slice.
-
-    Positive square root on (-1, 1); g(c, c) = 1 and g(c, -1) = 0.
-    """
-    if not (k > 1.0 and 0.0 < c < 1.0):
-        raise DomainError(f"need k > 1 and c in (0,1), got k={k!r}, c={c!r}")
-    if zeta == 1.0:
-        raise DomainError("g is singular at zeta = 1")
-    if not -1.0 <= zeta < 1.0:
-        raise DomainError(f"real-slice evaluation needs zeta in [-1, 1), got {zeta!r}")
-    return float(_g_smooth(k, c, zeta) * math.sqrt((1.0 + zeta) / (1.0 - zeta)))
 
 
 # Gauss rule for the edge weight w(x) = sqrt((1+x)/(1-x)) on (-1, 1):
@@ -342,9 +310,8 @@ def solve_family1(k: float, tol: float = C_TOL) -> AccessorySolution:
 
 def _family2_grid(k: float) -> list[float]:
     span = k - 1.0
-    lo_offsets = np.geomspace(1e-6, 0.45 * span, 22)
-    hi_offsets = np.geomspace(1e-6, 0.45 * span, 22)
-    pts = np.concatenate([1.0 + lo_offsets, k - hi_offsets])
+    offsets = np.geomspace(1e-6, 0.45 * span, 22)
+    pts = np.concatenate([1.0 + offsets, k - offsets])
     return sorted(set(float(p) for p in pts))
 
 

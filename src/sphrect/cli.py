@@ -22,7 +22,7 @@ from .belyi import RamificationPortrait, example2_conditions, example_map, verif
 from .constants import critical_constants
 from .developing import BoundaryImageReport, boundary_check
 from .errors import (AccuracyError, BelyiViolationError, BracketError,
-                     DomainError, PathError)
+                     DomainError)
 from .modulus import k_of_modulus, modulus_of_k
 
 EXIT_OK = 0
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, PathError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

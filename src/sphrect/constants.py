@@ -21,11 +21,6 @@ __all__ = [
     "CriticalConstants",
     "critical_constants",
     "kappa_prime_crit",
-    "derive_k_crit",
-    "one_ninth_lambda",
-    "b1",
-    "halphen_series",
-    "halphen_series_alternating",
 ]
 
 
@@ -64,27 +59,6 @@ def kappa_prime_crit(tol: float = 1e-12) -> float:
     return _brent(_k_minus_2e, lo, hi, f_lo, f_hi, tol)
 
 
-def derive_k_crit(tol: float = 1e-12) -> float:
-    """Critical corner parameter from kappa'_crit via k = (1+kappa)/(1-kappa)."""
-    kp = kappa_prime_crit(tol)
-    kappa = math.sqrt((1.0 - kp) * (1.0 + kp))
-    return (1.0 + kappa) / (1.0 - kappa)
-
-
-def one_ninth_lambda(tol: float = 1e-12) -> float:
-    """The one-ninth constant exp(-pi K(kappa_crit)/K(kappa'_crit))."""
-    kp = kappa_prime_crit(tol)
-    kappa = math.sqrt((1.0 - kp) * (1.0 + kp))
-    return math.exp(-math.pi * ellip_K(kappa) / ellip_K(kp))
-
-
-def b1(tol: float = 1e-12) -> float:
-    """Companion period ratio K(kappa'_crit)/K(kappa_crit)."""
-    kp = kappa_prime_crit(tol)
-    kappa = math.sqrt((1.0 - kp) * (1.0 + kp))
-    return ellip_K(kp) / ellip_K(kappa)
-
-
 @lru_cache(maxsize=1)
 def critical_constants() -> CriticalConstants:
     """All critical constants in one immutable, cached record."""
@@ -99,33 +73,3 @@ def critical_constants() -> CriticalConstants:
         lambda_=math.exp(-math.pi * ellip_K(kappa) / ellip_K(kp)),
         b1=ellip_K(kp) / ellip_K(kappa),
     )
-
-
-def _check_series_args(x: float, terms: int) -> None:
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"series argument must lie in (0, 1), got {x!r}")
-    if terms < 1:
-        raise DomainError(f"need at least one term, got {terms!r}")
-
-
-def halphen_series(x: float, terms: int) -> float:
-    """Partial sum of sum_n (2n+1)^2 (-x)^(n(n+1)).
-
-    The exponent n(n+1) is always even, so every term is positive and
-    the sum cannot vanish on (0, 1); this is an exploratory evaluator,
-    not a root-finding target.
-    """
-    _check_series_args(x, terms)
-    total = 0.0
-    for n in range(terms):
-        total += (2 * n + 1) ** 2 * (-x) ** (n * (n + 1))
-    return total
-
-
-def halphen_series_alternating(x: float, terms: int) -> float:
-    """Partial sum of the variant sum_n (-1)^n (2n+1)^2 x^(n(n+1))."""
-    _check_series_args(x, terms)
-    total = 0.0
-    for n in range(terms):
-        total += (-1) ** n * (2 * n + 1) ** 2 * x ** (n * (n + 1))
-    return total

@@ -8,37 +8,12 @@ the results are accurate to a few ulp without any series tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["EllipticModulus", "agm", "ellip_K", "ellip_E"]
+__all__ = ["agm", "ellip_K", "ellip_E"]
 
 _MAX_ITER = 64  # AGM converges quadratically; 64 is far beyond need
-
-
-@dataclass(frozen=True)
-class EllipticModulus:
-    """An elliptic modulus kappa constrained to [0, 1]."""
-
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.kappa <= 1.0) or math.isnan(self.kappa):
-            raise DomainError(f"modulus must lie in [0, 1], got {self.kappa!r}")
-
-    @property
-    def complement(self) -> EllipticModulus:
-        """The complementary modulus sqrt(1 - kappa^2)."""
-        # (1-k)(1+k) keeps full precision when kappa is close to 1
-        return EllipticModulus(math.sqrt((1.0 - self.kappa) * (1.0 + self.kappa)))
-
-    def __float__(self) -> float:
-        return self.kappa
-
-
-def _as_modulus(m: float | EllipticModulus) -> float:
-    return m.kappa if isinstance(m, EllipticModulus) else float(m)
 
 
 def agm(a: float, b: float) -> float:
@@ -76,24 +51,24 @@ def _agm_with_csum(kappa: float) -> tuple[float, float]:
     return a, csum
 
 
-def ellip_K(m: float | EllipticModulus) -> float:
+def ellip_K(m: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
     Requires 0 <= m < 1; K diverges logarithmically as m -> 1.
     """
-    kappa = _as_modulus(m)
+    kappa = float(m)
     if not (0.0 <= kappa < 1.0):
         raise DomainError(f"ellip_K needs modulus in [0, 1), got {kappa!r}")
     comp = math.sqrt((1.0 - kappa) * (1.0 + kappa))
     return math.pi / (2.0 * agm(1.0, comp))
 
 
-def ellip_E(m: float | EllipticModulus) -> float:
+def ellip_E(m: float) -> float:
     """Complete elliptic integral of the second kind, modulus convention.
 
     Requires 0 <= m <= 1; E(1) = 1 exactly.
     """
-    kappa = _as_modulus(m)
+    kappa = float(m)
     if not (0.0 <= kappa <= 1.0):
         raise DomainError(f"ellip_E needs modulus in [0, 1], got {kappa!r}")
     if kappa == 1.0:

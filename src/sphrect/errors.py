@@ -6,7 +6,6 @@ __all__ = [
     "DomainError",
     "AccuracyError",
     "BracketError",
-    "PathError",
     "BelyiViolationError",
 ]
 
@@ -35,11 +34,6 @@ class AccuracyError(SphrectError):
 
 class BracketError(SphrectError):
     """A root-finding scan failed to isolate exactly one sign change."""
-
-
-class PathError(SphrectError):
-    """An integration path violates a contract (wrong half-plane,
-    a singularity too close to a segment, or overlapping detours)."""
 
 
 class BelyiViolationError(SphrectError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .elliptic import ellip_K
+from .elliptic import agm, ellip_K
 from .errors import AccuracyError, DomainError
 from .quadrature import integrate_singular
 from .roots import _brent
@@ -26,11 +26,14 @@ def _check_k(k: float) -> float:
 
 
 def modulus_of_k(k: float) -> float:
-    """Conformal modulus as K(sqrt(1 - 1/k^2)) / (2 K(1/k))."""
-    k = _check_k(k)
-    kappa = 1.0 / k
-    comp = math.sqrt((k - 1.0) * (k + 1.0)) / k
-    return ellip_K(comp) / (2.0 * ellip_K(kappa))
+    """Conformal modulus as K(sqrt(1 - 1/k^2)) / (2 K(1/k)).
+
+    The numerator's complementary modulus is exactly 1/k, so its K is
+    pi / (2 agm(1, 1/k)) (Borwein & Borwein, Pi and the AGM, 1987): no
+    modulus near 1 is ever formed, and every k > 1 stays in range.
+    """
+    kappa = 1.0 / _check_k(k)
+    return math.pi / (4.0 * agm(1.0, kappa) * ellip_K(kappa))
 
 
 def modulus_oracle(k: float, tol: float = 1e-10) -> float:
@@ -58,7 +61,9 @@ def k_of_modulus(target: float, tol: float = 1e-12) -> float:
 
     Mathematically any target in (0, inf) is attainable, but in double
     precision k cannot sit closer to 1 than one ulp, which floors the
-    reachable moduli near 0.041; targets below that raise AccuracyError.
+    reachable moduli: every target below about 0.054 raises
+    AccuracyError, every target above about 0.066 inverts, and targets
+    in between may do either.
     """
     target = float(target)
     if not target > 0.0:

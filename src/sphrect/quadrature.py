@@ -5,10 +5,6 @@ error estimate is split until the summed estimate meets the tolerance or
 the panel budget runs out.  Integrable endpoint singularities are removed
 analytically by the substitution x = a + (b - a) u^2 (and its mirror), so
 the engine itself only ever sees smooth integrands.
-
-Complex line integrals run over a polyline in the closed upper half
-plane; real singularities on a segment are avoided by semicircular
-detours of a configurable radius.
 """
 from __future__ import annotations
 
@@ -19,16 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, PathError
+from .errors import AccuracyError, DomainError
 
 __all__ = [
     "EndpointExponents",
-    "ComplexPath",
     "integrate_singular",
-    "integrate_sqrt_endpoints",
     "integrate_segment",
     "integrate_arc",
-    "integrate_path",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -242,36 +235,6 @@ def integrate_singular(f: Callable, a: float, b: float,
     return _maybe_real(val), err
 
 
-def integrate_sqrt_endpoints(f: Callable, a: float, b: float,
-                             tol: float = DEFAULT_TOL,
-                             left: bool = True, right: bool = True,
-                             budget: int = DEFAULT_BUDGET) -> tuple[float | complex, float]:
-    """Integral over (a, b) of an f carrying its own endpoint behaviour.
-
-    Unlike integrate_singular the weight stays inside f; the u^2
-    substitutions merely regularize inverse-square-root blowup (or a
-    square-root derivative kink) at the flagged endpoints.  Returns
-    (value, error_estimate).
-    """
-    if not a < b:
-        raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
-    fv = _vectorized(f)
-    mid = 0.5 * (a + b)
-    pieces: list[tuple[Callable, float, float]] = []
-    if left:
-        hl = mid - a
-        pieces.append((lambda u: 2.0 * hl * u * fv(a + hl * u * u), 0.0, 1.0))
-    else:
-        pieces.append((fv, a, mid))
-    if right:
-        hr = b - mid
-        pieces.append((lambda v: 2.0 * hr * v * fv(b - hr * v * v), 0.0, 1.0))
-    else:
-        pieces.append((fv, mid, b))
-    val, err = _run_pieces(pieces, tol, budget)
-    return _maybe_real(val), err
-
-
 def integrate_segment(f: Callable, z0: complex, z1: complex,
                       tol: float = DEFAULT_TOL,
                       sqrt_start: bool = False, sqrt_end: bool = False,
@@ -315,119 +278,3 @@ def integrate_arc(f: Callable, center: complex, radius: float,
 
     val, _ = _run_pieces([(g, theta0, theta1)], tol, budget)
     return complex(val)
-
-
-@dataclass(frozen=True)
-class ComplexPath:
-    """A polyline in the closed upper half plane with marked real
-    singularities that straight runs along the real axis must detour
-    around (counterclockwise semicircles when travelling rightward,
-    clockwise when travelling leftward, always through the upper half
-    plane)."""
-
-    vertices: tuple[complex, ...]
-    singularities: tuple[float, ...] = ()
-    detour_radius: float | None = None
-
-    def __post_init__(self) -> None:
-        verts = tuple(complex(v) for v in self.vertices)
-        if len(verts) < 2:
-            raise PathError("a path needs at least two vertices")
-        for v in verts:
-            if v.imag < 0.0:
-                raise PathError(f"vertex {v} lies below the real axis")
-        # normalize -0.0 imaginary parts so branch evaluation stays on
-        # the upper side of the cuts
-        verts = tuple(complex(v.real, 0.0) if v.imag == 0.0 else v for v in verts)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "singularities",
-                           tuple(float(s) for s in self.singularities))
-        if self.detour_radius is not None and not self.detour_radius > 0.0:
-            raise PathError(f"detour radius must be positive, got {self.detour_radius!r}")
-
-    def effective_radius(self) -> float:
-        """The detour radius in force: explicit, or min(0.05, half the
-        smallest gap between marked singularities)."""
-        if self.detour_radius is not None:
-            return self.detour_radius
-        pts = sorted(self.singularities)
-        if len(pts) < 2:
-            return 0.05
-        gap = min(b - a for a, b in zip(pts, pts[1:]))
-        if gap == 0.0:
-            raise PathError("duplicate singularities on path")
-        return min(0.05, 0.5 * gap)
-
-
-def _point_segment_distance(z0: complex, z1: complex, w: complex) -> float:
-    dz = z1 - z0
-    denom = abs(dz) ** 2
-    if denom == 0.0:
-        return abs(w - z0)
-    t = ((w - z0).real * dz.real + (w - z0).imag * dz.imag) / denom
-    t = min(1.0, max(0.0, t))
-    return abs(z0 + t * dz - w)
-
-
-def _realize(path: ComplexPath) -> list[tuple]:
-    """Expand a ComplexPath into ('seg', z0, z1) and
-    ('arc', center, radius, th0, th1) elements."""
-    radius = path.effective_radius()
-    elems: list[tuple] = []
-    for z0, z1 in zip(path.vertices, path.vertices[1:]):
-        if z0 == z1:
-            continue
-        near = [s for s in path.singularities
-                if _point_segment_distance(z0, z1, complex(s, 0.0)) < radius]
-        if not near:
-            elems.append(("seg", z0, z1))
-            continue
-        if z0.imag != 0.0 or z1.imag != 0.0:
-            raise PathError(
-                f"segment {z0} -> {z1} passes within {radius} of singularities "
-                f"{near} but is not a real-axis run; reroute or shrink the radius")
-        x0, x1 = z0.real, z1.real
-        sgn = 1.0 if x1 > x0 else -1.0
-        lo, hi = min(x0, x1), max(x0, x1)
-        inner = sorted((s for s in near if lo < s < hi), reverse=(sgn < 0))
-        outer = [s for s in near if not lo < s < hi]
-        if outer:
-            raise PathError(
-                f"singularities {outer} lie within {radius} of an endpoint of "
-                f"the real run [{lo}, {hi}]")
-        for s_prev, s_next in zip(inner, inner[1:]):
-            if abs(s_next - s_prev) < 2.0 * radius:
-                raise PathError(
-                    f"detour arcs around {s_prev} and {s_next} overlap; "
-                    f"shrink detour_radius below {abs(s_next - s_prev) / 2}")
-        cur = x0
-        for s in inner:
-            if abs(s - cur) < radius:
-                raise PathError(f"detour around {s} does not fit inside the run")
-            elems.append(("seg", complex(cur, 0.0), complex(s - sgn * radius, 0.0)))
-            if sgn > 0:
-                elems.append(("arc", complex(s, 0.0), radius, math.pi, 0.0))
-            else:
-                elems.append(("arc", complex(s, 0.0), radius, 0.0, math.pi))
-            cur = s + sgn * radius
-        elems.append(("seg", complex(cur, 0.0), z1))
-    return [e for e in elems if not (e[0] == "seg" and e[1] == e[2])]
-
-
-def integrate_path(f: Callable, path: ComplexPath,
-                   tol: float = DEFAULT_TOL,
-                   budget: int = DEFAULT_BUDGET) -> complex:
-    """Contour integral of f along the realized path (complex result)."""
-    elems = _realize(path)
-    if not elems:
-        return 0.0 + 0.0j
-    per_tol = tol / len(elems)
-    per_budget = max(64, budget // len(elems))
-    total = 0.0 + 0.0j
-    for e in elems:
-        if e[0] == "seg":
-            total += integrate_segment(f, e[1], e[2], per_tol, budget=per_budget)
-        else:
-            total += integrate_arc(f, e[1], e[2], e[3], e[4], per_tol,
-                                   budget=per_budget)
-    return total

@@ -1,13 +1,12 @@
-"""Critical constants and the exploratory series."""
+"""Critical constants: the cached record and its root search."""
 import math
 
 import pytest
 
-from sphrect import (b1, critical_constants, derive_k_crit, ellip_E, ellip_K,
-                     halphen_series, halphen_series_alternating,
-                     kappa_prime_crit, modulus_of_k, one_ninth_lambda)
+from sphrect import (critical_constants, ellip_E, ellip_K, kappa_prime_crit,
+                     modulus_of_k)
 from sphrect.accessory import _F1_SCAN, _scan_bracket, bigF
-from sphrect.errors import BracketError, DomainError
+from sphrect.errors import BracketError
 
 
 def test_record_invariants(consts):
@@ -48,12 +47,6 @@ def test_root_finder():
     assert ellip_K(0.99) - 2.0 * ellip_E(0.99) > 0.0
 
 
-def test_standalone_helpers(consts):
-    assert derive_k_crit() == pytest.approx(consts.k_crit, abs=1e-12)
-    assert one_ninth_lambda() == pytest.approx(consts.lambda_, abs=1e-12)
-    assert b1() == pytest.approx(consts.b1, abs=1e-12)
-
-
 def test_modulus_consistency(consts):
     assert modulus_of_k(consts.k_crit) == pytest.approx(consts.K_crit, abs=1e-4)
 
@@ -63,36 +56,3 @@ def test_first_family_bracket_fails_past_critical(consts):
     k = consts.k_crit + 0.01
     with pytest.raises(BracketError):
         _scan_bracket(lambda c: bigF(k, c, 1e-6), _F1_SCAN, "probe")
-
-
-def test_halphen_series_single_term():
-    assert halphen_series(0.5, 1) == 1.0
-
-
-def test_halphen_series_positive(rng):
-    # n(n+1) is even, so (-x)^(n(n+1)) = x^(n(n+1)) and every term is > 0
-    for _ in range(25):
-        x = float(rng.uniform(0.01, 0.99))
-        n = int(rng.integers(1, 40))
-        assert halphen_series(x, n) > 0.0
-
-
-def test_halphen_series_converged():
-    s10 = halphen_series(0.5, 10)
-    s11 = halphen_series(0.5, 11)
-    assert abs(s10 - s11) < 1e-15
-
-
-def test_halphen_alternating_hand_value():
-    # 1 - 9 x^2 + 25 x^6 at x = 1/2; dyadic, so the comparison is exact
-    assert halphen_series_alternating(0.5, 3) == 1.0 - 2.25 + 25.0 / 64.0
-
-
-def test_series_domain():
-    for bad in (0.0, 1.0, -0.3):
-        with pytest.raises(DomainError):
-            halphen_series(bad, 5)
-    with pytest.raises(DomainError):
-        halphen_series(0.5, 0)
-    with pytest.raises(DomainError):
-        halphen_series_alternating(2.0, 5)

@@ -1,6 +1,7 @@
 """Conformal modulus: closed form vs quadrature oracle, inversion."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -90,3 +91,17 @@ def test_unreachable_small_modulus():
 def test_large_modulus_inverts():
     k = k_of_modulus(1.6864749617491412)
     assert k == pytest.approx(50.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("k", [3.0, 40.0, 1e4, 1e7, 1e9, 1e15])
+def test_closed_form_against_mpmath(k):
+    # mpmath's ellipk takes the parameter, the square of the modulus
+    with mp.workdps(40):
+        kk = mp.mpf(k)
+        want = mp.ellipk(1 - 1 / kk ** 2) / (2 * mp.ellipk(1 / kk ** 2))
+        assert abs(modulus_of_k(k) - want) / want <= 1e-13
+
+
+def test_huge_k_round_trip():
+    # modulus 10 needs k ~ 1.1e13, where sqrt(1 - 1/k^2) rounds to 1
+    assert abs(modulus_of_k(k_of_modulus(10.0)) - 10.0) <= 1e-9

@@ -1,14 +1,12 @@
-"""Quadrature engine: endpoint weights, paths, arcs, and failure modes."""
-import cmath
+"""Quadrature engine: endpoint weights, segments, arcs, and failure modes."""
 import math
 
 import numpy as np
 import pytest
 
-from sphrect.errors import AccuracyError, DomainError, PathError
-from sphrect.quadrature import (ComplexPath, EndpointExponents, integrate_arc,
-                                integrate_path, integrate_segment,
-                                integrate_singular, integrate_sqrt_endpoints)
+from sphrect.errors import AccuracyError, DomainError
+from sphrect.quadrature import (EndpointExponents, integrate_arc,
+                                integrate_segment, integrate_singular)
 
 
 def test_exponent_validation():
@@ -41,14 +39,6 @@ def test_beta_closed_form(p, q):
     assert val == pytest.approx(expected, abs=1e-10)
 
 
-def test_elliptic_value_by_quadrature():
-    def f(x):
-        return 1.0 / math.sqrt((1.0 - x * x) * (1.0 - 0.25 * x * x))
-
-    val, _ = integrate_sqrt_endpoints(f, 0.0, 1.0, tol=1e-12, left=False)
-    assert val == pytest.approx(1.685750354812596, abs=1e-9)
-
-
 def test_singular_domain_checks():
     with pytest.raises(DomainError):
         integrate_singular(lambda x: 1.0, 1.0, -1.0, (0.0, 0.0))
@@ -64,12 +54,6 @@ def test_additivity_interior_split():
     left, _ = integrate_singular(f, 0.0, 0.37, (0.0, 0.0), tol=1e-10)
     right, _ = integrate_singular(f, 0.37, 1.0, (0.0, 0.0), tol=1e-10)
     assert left + right == pytest.approx(whole, abs=2e-10)
-
-
-def test_sqrt_endpoints_weight_inside_f():
-    val, _ = integrate_sqrt_endpoints(
-        lambda x: 1.0 / np.sqrt((1.0 - x) * (1.0 + x)), -1.0, 1.0, tol=1e-12)
-    assert val == pytest.approx(math.pi, abs=1e-10)
 
 
 def test_budget_exhaustion_carries_best():
@@ -102,73 +86,3 @@ def test_arc_half_residue():
     assert got == pytest.approx(1j * math.pi, abs=1e-11)
     with pytest.raises(DomainError):
         integrate_arc(lambda z: z, 0.0, -1.0, 0.0, 1.0)
-
-
-def test_path_fundamental_theorem():
-    path = ComplexPath(vertices=(1.0 + 0.5j, 0.2 + 2.0j, -1.0 + 0.5j))
-    got = integrate_path(lambda z: np.ones_like(np.asarray(z)), path)
-    assert got == pytest.approx((-1.0 + 0.5j) - (1.0 + 0.5j), abs=1e-11)
-
-
-def test_path_log_branch():
-    c = 0.3
-    path = ComplexPath(vertices=(1.0 + 0.5j, -1.0 + 0.5j))
-    got = integrate_path(lambda z: 1.0 / (z - c), path, tol=1e-12)
-    want = cmath.log(-1.0 + 0.5j - c) - cmath.log(1.0 + 0.5j - c)
-    assert got == pytest.approx(want, abs=1e-11)
-
-
-def test_path_detour_semicircles():
-    # leftward run over a simple pole picks up +i pi via the upper detour
-    path = ComplexPath(vertices=(1.0, -1.0), singularities=(0.0,))
-    got = integrate_path(lambda z: 1.0 / z, path, tol=1e-12)
-    assert got == pytest.approx(1j * math.pi, abs=1e-10)
-    # and the reverse orientation flips the sign
-    back = ComplexPath(vertices=(-1.0, 1.0), singularities=(0.0,))
-    assert integrate_path(lambda z: 1.0 / z, back, tol=1e-12) == pytest.approx(
-        -1j * math.pi, abs=1e-10)
-
-
-def test_path_detour_radius_default():
-    path = ComplexPath(vertices=(0.0, 1.0), singularities=(0.3, 0.31))
-    assert path.effective_radius() == pytest.approx(0.005)
-    lone = ComplexPath(vertices=(0.0, 1.0), singularities=(0.5,))
-    assert lone.effective_radius() == 0.05
-
-
-def test_path_validation():
-    with pytest.raises(PathError):
-        ComplexPath(vertices=(1.0,))
-    with pytest.raises(PathError):
-        ComplexPath(vertices=(0.0, 1.0 - 0.5j))
-    with pytest.raises(PathError):
-        ComplexPath(vertices=(0.0, 1.0), detour_radius=0.0)
-    with pytest.raises(PathError):
-        ComplexPath(vertices=(0.0, 1.0), singularities=(0.5, 0.5)).effective_radius()
-
-
-def test_path_singularity_near_endpoint():
-    path = ComplexPath(vertices=(0.0, 1.0), singularities=(0.01,),
-                       detour_radius=0.05)
-    with pytest.raises(PathError):
-        integrate_path(lambda z: 1.0 / z, path)
-
-
-def test_path_offaxis_segment_near_singularity():
-    # a lifted segment may not brush a marked singularity
-    path = ComplexPath(vertices=(-1.0 + 0.001j, 1.0 + 0.001j),
-                       singularities=(0.0,), detour_radius=0.05)
-    with pytest.raises(PathError):
-        integrate_path(lambda z: 1.0 / z, path)
-
-
-def test_path_overlapping_detours():
-    path = ComplexPath(vertices=(-1.0, 1.0), singularities=(-0.01, 0.01),
-                       detour_radius=0.05)
-    with pytest.raises(PathError):
-        integrate_path(lambda z: 1.0, path)
-
-
-def test_negative_zero_imag_normalized():
-    path = ComplexPath(vertices=(complex(0.0, -0.0), 1.0))
-    assert all(v.imag == 0.0 for v in path.vertices)
