@@ -16,7 +16,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .errors import BelyiViolationError, DomainError
+from .errors import AccuracyError, BelyiViolationError, DomainError
 
 __all__ = [
     "RationalMap",
@@ -103,8 +103,10 @@ def _resultant(p: list, q: list):
 class RationalMap:
     """Rational function num/den with high-precision coefficients.
 
-    Coefficients are descending-order mpmath reals; provenance records
-    the exact radical expressions they were built from.
+    Coefficients are descending-order mpmath numbers, mpf or mpc; a map
+    whose coefficients are all mpf takes the real path of the root
+    finder.  Provenance records the exact radical expressions they were
+    built from.
     """
 
     num: tuple
@@ -303,53 +305,67 @@ def _cluster(seeds: np.ndarray, radius: float = 1e-4) -> list[tuple[complex, int
     return clusters
 
 
-def _refine_root(poly: list, seed: complex, multiplicity: int):
+def _refine_root(poly: list, seed, multiplicity: int):
     """Newton-polish a root of poly with known multiplicity.
 
     Applies Newton to the (m-1)-th derivative, where the root is simple.
+    A seed with imaginary part exactly 0 of a polynomial with mpf
+    coefficients is polished in mpf arithmetic: from a real start,
+    Newton on a real polynomial never leaves the real axis.  Raises
+    AccuracyError when the step does not fall below 10^(5-DPS).
     """
     target = list(poly)
     for _ in range(multiplicity - 1):
         target = _polyder(target)
     dtarget = _polyder(target)
-    z = mp.mpc(seed)
+    real = seed.imag == 0 and all(isinstance(c, mp.mpf) for c in poly)
+    z = mp.mpf(seed.real) if real else mp.mpc(seed)
+    goal = mp.mpf(10) ** (5 - DPS)
+    step = mp.inf
     for _ in range(100):
-        fz = _polyval(target, z)
         dz = _polyval(dtarget, z)
-        if abs(dz) == 0:
+        if dz == 0:
             break
-        step = fz / dz
+        step = _polyval(target, z) / dz
         z -= step
-        if abs(step) < mp.mpf(10) ** (-DPS + 5):
-            break
-    return z
+        if abs(step) < goal:
+            return z
+    raise AccuracyError(f"Newton polish near {complex(seed)} did not converge",
+                        best=z, err_est=float(abs(step)))
 
 
-def _roots_with_multiplicity(poly: list) -> list[tuple[mp.mpc, int]]:
+def _roots_with_multiplicity(poly: list) -> list[tuple[mp.mpf | mp.mpc, int]]:
     """All roots of an mp-coefficient polynomial with multiplicities.
 
-    Double-precision companion-matrix eigenvalues seed the clusters;
-    each cluster is polished in extended precision.
+    Double-precision companion-matrix eigenvalues seed the clusters (a
+    real matrix for mpf coefficients, so real roots come out exactly
+    real); each cluster is polished once in extended precision.
     """
     poly = _trim(poly)
     if len(poly) == 1:
         return []
-    seeds = np.roots(np.array([complex(c) for c in poly], dtype=complex))
-    polished = [(_refine_root(poly, centroid, m), m)
-                for centroid, m in _cluster(seeds)]
+    real = all(isinstance(c, mp.mpf) for c in poly)
+    seeds = np.roots(np.array(poly, dtype=float if real else complex))
+    polished = []
+    for centroid, m in _cluster(seeds):
+        try:
+            polished.append((_refine_root(poly, centroid, m), m, True))
+        except AccuracyError as exc:
+            polished.append((exc.best, m, False))
     # a cluster that was split by seed noise polishes its parts onto the
     # same point (plain Newton near a multiple root stalls within
-    # ~1e-12 of it); merge such coincidences and re-polish with the
-    # multiplicity they jointly witness
-    merged: list[tuple[mp.mpc, int]] = []
-    for root, mult in polished:
-        for i, (r0, m0) in enumerate(merged):
+    # ~1e-12 of it); merge such coincidences and re-polish, with the
+    # multiplicity they jointly witness, only what grew or stalled
+    merged: list[tuple[mp.mpf | mp.mpc, int, bool]] = []
+    for root, mult, done in polished:
+        for i, (r0, m0, _) in enumerate(merged):
             if abs(root - r0) < 1e-6 * max(1.0, abs(r0)):
-                merged[i] = (r0, m0 + mult)
+                merged[i] = (r0, m0 + mult, False)
                 break
         else:
-            merged.append((root, mult))
-    return [(_refine_root(poly, root, mult), mult) for root, mult in merged]
+            merged.append((root, mult, done))
+    return [(root if done else _refine_root(poly, root, mult), mult)
+            for root, mult, done in merged]
 
 
 def verify_belyi(rmap: RationalMap, tol: float = 1e-10) -> RamificationPortrait:

@@ -5,10 +5,11 @@ import math
 import mpmath as mp
 import pytest
 
+from sphrect import belyi
 from sphrect.belyi import (PortraitPoint, RamificationPortrait, RationalMap,
                            dihedral_invariant, example2_conditions,
                            example_consistency, example_map, verify_belyi)
-from sphrect.errors import BelyiViolationError, DomainError
+from sphrect.errors import AccuracyError, BelyiViolationError, DomainError
 
 S3 = math.sqrt(3.0)
 
@@ -197,3 +198,92 @@ def test_example_consistency_orbit(n):
 def test_example_consistency_domain():
     with pytest.raises(DomainError):
         example_consistency(0)
+
+
+@pytest.mark.parametrize("coeff", [int, mp.mpf])
+def test_refine_root_raises_when_newton_cycles(coeff):
+    # Newton on z^3 - 2z + 2 cycles 0 -> 1 -> 0 and never converges
+    with mp.workdps(belyi.DPS):
+        with pytest.raises(AccuracyError) as info:
+            belyi._refine_root([coeff(c) for c in (1, 0, -2, 2)], 0.0, 1)
+    assert info.value.best in (0, 1)
+    assert info.value.err_est == 1.0
+
+
+def test_refine_root_raises_on_vanishing_derivative():
+    # z^2 + 1 has p'(0) = 0: no Newton step can be taken from the seed
+    with mp.workdps(belyi.DPS):
+        with pytest.raises(AccuracyError):
+            belyi._refine_root([mp.mpf(1), mp.mpf(0), mp.mpf(1)], 0.0, 1)
+
+
+def test_verify_belyi_complex_coefficients():
+    """((z - i)/(z + i))^2 with mpc coefficients takes the complex path."""
+    i = mp.mpc(0, 1)
+    rmap = RationalMap(num=(mp.mpc(1), -2 * i, mp.mpc(-1)),
+                       den=(mp.mpc(1), 2 * i, mp.mpc(-1)), degree=2,
+                       provenance="((z - i)/(z + i))^2", label="cayley-square")
+    portrait = verify_belyi(rmap)
+    _assert_portrait_matches(portrait, [(1j, 2, 0.0), (-1j, 2, math.inf),
+                                        (0.0, 1, 1.0), (None, 1, 1.0)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_portrait_points_are_exactly_real(n):
+    portrait = verify_belyi(example_map(n))
+    real = [(point, degree, value) for point, degree, value
+            in EXPECTED_PORTRAITS[n]
+            if point is not None and complex(point).imag == 0.0]
+    for point, degree, value in real:
+        got = [p for p in portrait.points if p.point is not None
+               and p.local_degree == degree and p.critical_value == value
+               and abs(p.point - point) < 1e-9]
+        assert len(got) == 1
+        assert got[0].point.imag == 0.0
+
+
+def test_example3_triple_roots_are_real_at_full_precision():
+    rmap = example_map(3)
+    with mp.workdps(belyi.DPS):
+        s3 = mp.sqrt(3)
+        cases = [(rmap.den, [4 + 2 * s3, -2 * s3 / 3]), (rmap.num, [mp.mpf(1)])]
+        for poly, want in cases:
+            roots = belyi._roots_with_multiplicity(list(poly))
+            assert len(roots) == len(want)
+            for exact in want:
+                (root, mult), = [(r, m) for r, m in roots
+                                 if abs(r - exact) < 1e-6]
+                assert isinstance(root, mp.mpf)
+                assert mult == 3
+                assert abs(root - exact) <= 1e-35 * abs(exact)
+
+
+def test_each_root_is_polished_once(monkeypatch):
+    calls = []
+    refine = belyi._refine_root
+
+    def counting(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(belyi, "_refine_root", counting)
+    verify_belyi(example_map(1))
+    # W has 4 distinct roots and the three fibers have 2 each
+    assert len(calls) == 10
+
+
+def test_split_cluster_merges_into_one_root():
+    # the seeds of (z - 1)^5 split by ~7e-4, past the cluster radius, so
+    # the clusters polish onto 1 separately and only the merge counts 5
+    with mp.workdps(belyi.DPS):
+        roots = belyi._roots_with_multiplicity(belyi._from_roots([mp.mpf(1)] * 5))
+        assert [(float(r), m) for r, m in roots] == [(1.0, 5)]
+        # one step further the seeds stray too far to merge: the polish
+        # must fail loudly rather than report wrong multiplicities
+        try:
+            roots = belyi._roots_with_multiplicity(
+                belyi._from_roots([mp.mpf(1)] * 6))
+        except AccuracyError:
+            pass
+        else:
+            assert [(float(r), m) for r, m in roots] == [(1.0, 6)]
