@@ -7,9 +7,14 @@ value c lies in (1, k) and is fixed by a definite integral equalling
 -pi.  Both conditions have a single sign change in c.  A probe scan
 brackets it, bisection on loose evaluations narrows the bracket to
 width 1e-4, and Brent's method on tight evaluations finishes the root.
+Given a nearby root (the previous point of a sweep), the scan starts
+there and evaluates only the probes it walks past; it returns the same
+bracket as the full scan whenever that scan succeeds, so the root comes
+out bit-identical.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -231,14 +236,41 @@ _F1_SCAN = sorted(set(
 ))
 
 
-def _scan_bracket(fun, grid, what: str) -> tuple[float, float]:
-    """Locate sign changes of fun over grid; demand exactly one."""
-    values = [fun(c) for c in grid]
-    for c, v in zip(grid, values):
+def _scan_bracket(fun, grid, what: str, near: float | None = None
+                  ) -> tuple[float, float]:
+    """Locate sign changes of fun over grid; demand exactly one.
+
+    With near, walk instead from the probe interval holding near towards
+    the root (both functionals decrease through it: up while both ends
+    are positive, down while both are negative) and return the first
+    interval with a sign change, evaluating each probe at most once.
+    That is the full scan's interval whenever the full scan finds exactly
+    one; a second sign change elsewhere on the grid goes unseen.  A
+    non-finite probe on the walk, or a walk off the grid, falls back to
+    the full scan and its errors.
+    """
+    values: dict[int, float] = {}
+
+    def value(i: int) -> float:
+        if i not in values:
+            values[i] = fun(grid[i])
+        return values[i]
+
+    def changes_sign(i: int) -> bool:
+        return value(i) == 0.0 or (value(i) > 0.0) != (value(i + 1) > 0.0)
+
+    last = len(grid) - 2
+    if near is not None:
+        i = min(max(bisect.bisect_right(grid, near) - 1, 0), last)
+        while 0 <= i <= last and math.isfinite(value(i)) and math.isfinite(value(i + 1)):
+            if changes_sign(i):
+                return grid[i], grid[i + 1]
+            i += 1 if value(i) > 0.0 else -1
+    full = [value(i) for i in range(len(grid))]
+    for c, v in zip(grid, full):
         if not math.isfinite(v):
             raise BracketError(f"{what} is {v} at the probe {c!r}")
-    changes = [(grid[i], grid[i + 1]) for i in range(len(grid) - 1)
-               if values[i] == 0.0 or (values[i] > 0.0) != (values[i + 1] > 0.0)]
+    changes = [(grid[i], grid[i + 1]) for i in range(last + 1) if changes_sign(i)]
     if not changes:
         raise BracketError(f"no sign change of {what} over {len(grid)} probes")
     if len(changes) > 1:
@@ -275,9 +307,10 @@ def _bisect(fun_loose, fun_tight, lo: float, hi: float, ctol: float,
     return _brent(fun_tight, lo, hi, f_lo, f_hi, ctol)
 
 
-def _family1_root(k: float, tol: float) -> tuple[float, float]:
+def _family1_root(k: float, tol: float, near: float | None
+                  ) -> tuple[float, float]:
     lo, hi = _scan_bracket(lambda c: bigF(k, c, 1e-6), _F1_SCAN,
-                           f"F(k={k}, .) on (0,1)")
+                           f"F(k={k}, .) on (0,1)", near)
     c = _bisect(lambda c: bigF(k, c, 1e-6), lambda c: bigF(k, c, 1e-10),
                 lo, hi, tol, lo_min=1e-8, hi_max=1.0 - 1e-8)
     residual = bigF(k, c, 1e-10)
@@ -285,17 +318,23 @@ def _family1_root(k: float, tol: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=16)
-def solve_family1(k: float, tol: float = C_TOL) -> AccessorySolution:
+def solve_family1(k: float, tol: float = C_TOL, *,
+                  near: float | None = None) -> AccessorySolution:
     """Solve the first-family accessory problem at corner parameter k.
 
     Returns the unique c in (0, 1) with F(k, c) = 0 along with the
     amplitude, the angle parameter alpha, and the conformal modulus.
+    near, a guess at c such as the root at a neighbouring k, starts the
+    probe scan there (see _scan_bracket): whenever the plain solve
+    succeeds, the solution is bit-identical to it, with fewer
+    evaluations.  The scan then no longer rules out a second root, but
+    the tight re-check of the bracket and the residual gate still apply.
     """
     k = float(k)
     k_crit = critical_constants().k_crit
     if not 1.0 < k < k_crit:
         raise DomainError(f"first family requires 1 < k < {k_crit}, got {k!r}")
-    c, residual = _family1_root(k, tol)
+    c, residual = _family1_root(k, tol, near)
     if abs(residual) > RESIDUAL_TOL:
         raise AccuracyError(f"first-family residual {residual} exceeds {RESIDUAL_TOL}",
                             best=c, err_est=abs(residual))
@@ -316,12 +355,14 @@ def _family2_grid(k: float) -> list[float]:
 
 
 @lru_cache(maxsize=16)
-def solve_family2(k: float, tol: float = C_TOL) -> AccessorySolution:
+def solve_family2(k: float, tol: float = C_TOL, *,
+                  near: float | None = None) -> AccessorySolution:
     """Solve the second-family accessory problem at corner parameter k.
 
     Finds c in (1, k) where the family-2 integral equals -pi.  The grid
     scan reports every sign change it sees; more than one is an error
-    rather than a silent choice.
+    rather than a silent choice.  near starts the scan at a guess at c,
+    with the same guarantee and the same trade as in solve_family1.
     """
     k = float(k)
     k_crit = critical_constants().k_crit
@@ -335,7 +376,7 @@ def solve_family2(k: float, tol: float = C_TOL) -> AccessorySolution:
         return family2_integral(k, c, 1e-10) + math.pi
 
     lo, hi = _scan_bracket(g_loose, _family2_grid(k),
-                           f"family-2 condition at k={k}")
+                           f"family-2 condition at k={k}", near)
     c = _bisect(g_loose, g_tight, lo, hi, tol,
                 lo_min=1.0 + 1e-9, hi_max=k - 1e-9)
     residual = g_tight(c)

@@ -106,8 +106,10 @@ def _portrait_payload(portrait: RamificationPortrait) -> dict:
 
 # ---------------------------------------------------------------- subcommands
 
-def _solve_any(k: float, tol_root: float) -> AccessorySolution:
-    """Dispatch on which side of k_crit the shape parameter falls."""
+def _solve_any(k: float, tol_root: float,
+               near: float | None = None) -> AccessorySolution:
+    """Dispatch on which side of k_crit the shape parameter falls;
+    near, a guess at c, is passed on to the solver."""
     cc = critical_constants()
     if not k > 1.0:
         raise DomainError(f"--k must exceed 1, got {k}")
@@ -118,8 +120,8 @@ def _solve_any(k: float, tol_root: float) -> AccessorySolution:
             f"(its modulus would fall in the forbidden interval "
             f"[{cc.K_crit:.6f}, {1.0 / cc.K_crit:.6f}])")
     if k < cc.k_crit:
-        return solve_family1(k, tol=tol_root)
-    return solve_family2(k, tol=tol_root)
+        return solve_family1(k, tol=tol_root, near=near)
+    return solve_family2(k, tol=tol_root, near=near)
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
@@ -175,7 +177,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print(f"skipping k = {k!r}: within {SWEEP_SKIP_HALF_WIDTH:g} of "
                   f"the critical value {cc.k_crit}", file=sys.stderr)
             continue
-        sol = _solve_any(k, args.tol_root)
+        # continue from the previous root of the same family
+        family = Family.FIRST if k < cc.k_crit else Family.SECOND
+        near = rows[-1].c if rows and rows[-1].family is family else None
+        sol = _solve_any(k, args.tol_root, near)
         rows.append(SweepRow(k=k, c=sol.c, alpha=sol.alpha,
                              modulus=sol.modulus, residual=sol.residual,
                              family=sol.param.family))
@@ -307,6 +312,18 @@ def cmd_boundary(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _tolerance(text: str, allow_zero: bool) -> float:
+    """argparse type for a tolerance: finite and >= 0 (or > 0)."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(val) and (val > 0.0 or (allow_zero and val == 0.0))):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text!r}")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphrect",
@@ -314,10 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "critical constants, accessory-parameter solving, modulus "
                     "conversion, algebraic-map verification, and boundary "
                     "image reports.")
-    parser.add_argument("--tol-quad", type=float, default=1e-10,
+    parser.add_argument("--tol-quad", type=lambda t: _tolerance(t, False),
+                        default=1e-10,
                         help="quadrature tolerance for boundary reports "
                              "(default 1e-10)")
-    parser.add_argument("--tol-root", type=float, default=1e-12,
+    parser.add_argument("--tol-root", type=lambda t: _tolerance(t, True),
+                        default=1e-12,
                         help="root-finding tolerance for solve, sweep and "
                              "modulus inversion (default 1e-12)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -193,6 +193,74 @@ def test_scan_bracket_contract():
         _scan_bracket(lambda c: math.sin(8.0 * c), grid, "probe")
 
 
+def _counted(fun):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return fun(c)
+
+    return counted, calls
+
+
+def test_scan_bracket_walk_matches_full_scan():
+    grid = [i / 20.0 for i in range(1, 20)]
+    full, full_calls = _counted(lambda c: 0.42 - c)
+    walk, walk_calls = _counted(lambda c: 0.42 - c)
+    assert _scan_bracket(full, grid, "probe") == (0.4, 0.45)
+    for near in (1e-9, 0.05, 0.3, 0.42, 0.5, 0.95, 1.0 - 1e-6, 7.0):
+        walk_calls.clear()
+        assert _scan_bracket(walk, grid, "probe", near=near) == (0.4, 0.45)
+        assert len(walk_calls) == len(set(walk_calls)) < len(full_calls)
+    # the trade: the walk stops at the first sign change and does not see
+    # the second one that makes the full scan refuse
+    with pytest.raises(BracketError, match="multiple"):
+        _scan_bracket(lambda c: math.cos(8.0 * c), grid, "probe")
+    assert _scan_bracket(lambda c: math.cos(8.0 * c), grid, "probe",
+                         near=0.1) == (0.15, 0.2)
+
+
+def test_scan_bracket_walk_falls_back_to_full_scan():
+    grid = [i / 20.0 for i in range(1, 20)]
+
+    def nan_at_06(c):
+        return math.nan if c == 0.6 else 0.32 - c
+
+    # the walk down from 0.7 meets the non-finite probe before the root
+    with pytest.raises(BracketError, match=r"probe is nan at the probe 0\.6$"):
+        _scan_bracket(nan_at_06, grid, "probe", near=0.7)
+    for fun, near in ((lambda c: 1.0, 0.5), (lambda c: -1.0, 0.5),
+                      (lambda c: c - 0.42, 0.8), (lambda c: c - 0.42, 0.1)):
+        # wrong-way slopes and constants walk off the grid
+        counted, calls = _counted(fun)
+        if fun(0.05) * fun(0.95) > 0.0:
+            with pytest.raises(BracketError, match="no sign change of probe over 19"):
+                _scan_bracket(counted, grid, "probe", near=near)
+        else:
+            assert _scan_bracket(counted, grid, "probe", near=near) == (0.4, 0.45)
+        assert len(calls) == len(set(calls)) == len(grid)
+
+
+def _same_solution(a, b):
+    assert (a.c, a.A, a.alpha, a.modulus, a.residual) == \
+        (b.c, b.A, b.alpha, b.modulus, b.residual)
+    assert a.param == b.param
+
+
+@pytest.mark.parametrize("k", [1.2, 2.0, 2.4])
+def test_solve_family1_near_is_bit_identical(k):
+    plain = solve_family1(k)
+    for near in (1e-9, 0.3, plain.c, 1.0 - 1e-6):
+        _same_solution(solve_family1(k, near=near), plain)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, 40.0])
+def test_solve_family2_near_is_bit_identical(k):
+    plain = solve_family2(k)
+    for near in (1.0 + 1e-9, plain.c, k - 1e-9):
+        _same_solution(solve_family2(k, near=near), plain)
+
+
 def test_solver_caches():
     assert solve_family1(2.0) is solve_family1(2.0)
     assert solve_family2(3.0) is solve_family2(3.0)

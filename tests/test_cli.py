@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sphrect import cli, solve_family1
+from sphrect import accessory, cli, solve_family1, solve_family2
 from sphrect.errors import BelyiViolationError
 
 
@@ -123,6 +123,66 @@ def test_sweep_csv_round_trip(tmp_path):
         assert alpha == sol.alpha
         assert modulus == sol.modulus
         assert residual == sol.residual
+
+
+SWEEP_57 = ("sweep", "--k-min", "1.2", "--k-max", "4", "--steps", "57")
+
+
+def test_sweep_rows_equal_standalone_solves(tmp_path):
+    # every row after the first of its family starts its root scan at the
+    # previous row's c; the rows must still equal standalone solves
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(*SWEEP_57, "--out", str(out_path))
+    assert code == 0
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert len(rows) == 57
+    assert {row[5] for row in rows} == {"first", "second"}
+    for row in rows:
+        k, c, alpha, modulus, residual = map(float, row[:5])
+        solve = solve_family1 if row[5] == "first" else solve_family2
+        sol = solve(k)
+        assert (c, alpha, modulus, residual) == \
+            (sol.c, sol.alpha, sol.modulus, sol.residual)
+
+
+def test_sweep_evaluation_budget(tmp_path, monkeypatch):
+    # continuation from the previous root: ~1,210 functional evaluations
+    # per 57-point sweep, against ~3,200 when every point scans afresh
+    calls = []
+    for name in ("bigF", "family2_integral"):
+        fun = getattr(accessory, name)
+        monkeypatch.setattr(accessory, name,
+                            lambda *a, _f=fun, **kw: calls.append(1) or _f(*a, **kw))
+    accessory.solve_family1.cache_clear()
+    accessory.solve_family2.cache_clear()
+    code, _, _ = run_cli(*SWEEP_57, "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    assert len(calls) <= 1300
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--tol-root", "nan", "solve", "--k", "2"), "--tol-root"),
+    (("--tol-root", "-1", "solve", "--k", "2"), "--tol-root"),
+    (("--tol-root", "inf", "solve", "--k", "2"), "--tol-root"),
+    (("--tol-root", "nan", *SWEEP_57, "--out", "never-written.csv"), "--tol-root"),
+    (("--tol-quad", "nan", "boundary", "--k", "2", "--samples", "4"), "--tol-quad"),
+    (("--tol-quad", "-1", "boundary", "--k", "2", "--samples", "4"), "--tol-quad"),
+    (("--tol-quad", "0", "boundary", "--k", "2", "--samples", "4"), "--tol-quad"),
+    (("--tol-quad", "abc", "boundary", "--k", "2"), "--tol-quad"),
+])
+def test_tolerance_flags_checked(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(list(argv))
+    assert exc_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+
+
+def test_tol_root_zero_accepted():
+    code, out, _ = run_cli("--tol-root", "0", "solve", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["c"] == 0.7320508075688773
 
 
 def test_sweep_spans_both_families(tmp_path):
