@@ -4,13 +4,16 @@ The developing map has simple poles at c and d = -k/c.  For k below the
 critical value the accessory parameter c lies in (0, 1) and solves
 F(k, c) = 0, a regularized principal-value condition; past the critical
 value c lies in (1, k) and is fixed by a definite integral equalling
--pi.  Both conditions have a single sign change in c.  A probe scan
-brackets it, bisection on loose evaluations narrows the bracket to
-width 1e-4, and Brent's method on tight evaluations finishes the root.
-Given a nearby root (the previous point of a sweep), the scan starts
-there and evaluates only the probes it walks past; it returns the same
-bracket as the full scan whenever that scan succeeds, so the root comes
-out bit-identical.
+-pi.  Both conditions have a single sign change in c, and both
+families go through one pipeline that differs only in a table of
+per-family parts.  A probe scan brackets the sign change, bisection on
+loose evaluations narrows the bracket to width 1e-4, and Brent's method
+on tight evaluations finishes the root.  Each (c, tol) value of the
+condition is evaluated once per solve and shared by the scan, the
+bisection, Brent's method and the residual gate.  Given a nearby root
+(the previous point of a sweep), the scan starts there and evaluates
+only the probes it walks past; it returns the same bracket as the full
+scan whenever that scan succeeds, so the root comes out bit-identical.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -187,10 +190,11 @@ def bigF(k: float, c: float, tol: float = 1e-10) -> float:
 
 
 def amp_A(k: float, c: float) -> float:
-    """First-family amplitude A = (c + k/c) sqrt((1-c)(k+c)/((1+c)(k-c)))."""
-    if not 0.0 < c < 1.0 < k:
-        raise DomainError(f"need 0 < c < 1 < k, got c={c!r}, k={k!r}")
-    return (c + k / c) * math.sqrt((1.0 - c) * (k + c) / ((1.0 + c) * (k - c)))
+    """Amplitude A = (c + k/c) sqrt(|1-c| (k+c)/((1+c)(k-c))) of both
+    families: c in (0, 1) for the first, c in (1, k) for the second."""
+    if not (1.0 < k and 0.0 < c < k and c != 1.0):
+        raise DomainError(f"need 0 < c < k, c != 1 < k, got c={c!r}, k={k!r}")
+    return (c + k / c) * math.sqrt(abs(1.0 - c) * (k + c) / ((1.0 + c) * (k - c)))
 
 
 def family2_integral(k: float, c: float, tol: float = 1e-10) -> float:
@@ -307,14 +311,46 @@ def _bisect(fun_loose, fun_tight, lo: float, hi: float, ctol: float,
     return _brent(fun_tight, lo, hi, f_lo, f_hi, ctol)
 
 
-def _family1_root(k: float, tol: float, near: float | None
-                  ) -> tuple[float, float]:
-    lo, hi = _scan_bracket(lambda c: bigF(k, c, 1e-6), _F1_SCAN,
-                           f"F(k={k}, .) on (0,1)", near)
-    c = _bisect(lambda c: bigF(k, c, 1e-6), lambda c: bigF(k, c, 1e-10),
-                lo, hi, tol, lo_min=1e-8, hi_max=1.0 - 1e-8)
-    residual = bigF(k, c, 1e-10)
-    return c, residual
+def _family2_grid(k: float) -> list[float]:
+    span = k - 1.0
+    offsets = np.geomspace(1e-6, 0.45 * span, 22)
+    pts = np.concatenate([1.0 + offsets, k - offsets])
+    return sorted(set(float(p) for p in pts))
+
+
+# per family: the condition (zero at the root), the probe grid, the loose
+# tolerance of scan and bisection, the limits of any widening, and the
+# condition's name in errors; the conditions look bigF and
+# family2_integral up at call time
+_PLANS = {
+    Family.FIRST: (lambda k, c, tol: bigF(k, c, tol), lambda k: _F1_SCAN, 1e-6,
+                   lambda k: (1e-8, 1.0 - 1e-8), "F(k={k}, .) on (0,1)"),
+    Family.SECOND: (lambda k, c, tol: family2_integral(k, c, tol) + math.pi,
+                    _family2_grid, 1e-9, lambda k: (1.0 + 1e-9, k - 1e-9),
+                    "family-2 condition at k={k}"),
+}
+
+
+def _solve(family: Family, k: float, tol: float,
+           near: float | None) -> AccessorySolution:
+    """Scan, bisect and polish the root of one family's condition, gate
+    the residual and derive the solution."""
+    param = QuadParam(k=float(k), family=family)
+    k = param.k
+    fun, grid, loose_tol, clamps, what = _PLANS[family]
+    cond = lru_cache(maxsize=None)(partial(fun, k))  # no (c, tol) twice per solve
+    loose, tight = partial(cond, tol=loose_tol), partial(cond, tol=1e-10)
+    lo, hi = _scan_bracket(loose, grid(k), what.format(k=k), near)
+    c = _bisect(loose, tight, lo, hi, tol, *clamps(k))
+    residual = tight(c)
+    if abs(residual) > RESIDUAL_TOL:
+        raise AccuracyError(f"{family.value}-family residual {residual} exceeds "
+                            f"{RESIDUAL_TOL}", best=c, err_est=abs(residual))
+    from .developing import alpha_from_parts  # deferred: developing imports this module's types
+    a_val = amp_A(k, c)
+    return AccessorySolution(param=param, c=c, A=a_val,
+                             alpha=alpha_from_parts(k, c, a_val),
+                             modulus=modulus_of_k(k), residual=residual)
 
 
 @lru_cache(maxsize=16)
@@ -330,28 +366,7 @@ def solve_family1(k: float, tol: float = C_TOL, *,
     evaluations.  The scan then no longer rules out a second root, but
     the tight re-check of the bracket and the residual gate still apply.
     """
-    k = float(k)
-    k_crit = critical_constants().k_crit
-    if not 1.0 < k < k_crit:
-        raise DomainError(f"first family requires 1 < k < {k_crit}, got {k!r}")
-    c, residual = _family1_root(k, tol, near)
-    if abs(residual) > RESIDUAL_TOL:
-        raise AccuracyError(f"first-family residual {residual} exceeds {RESIDUAL_TOL}",
-                            best=c, err_est=abs(residual))
-    from .developing import alpha_from_parts  # deferred: developing imports this module's types
-    a_val = amp_A(k, c)
-    alpha = alpha_from_parts(k, c, a_val)
-    return AccessorySolution(
-        param=QuadParam(k=k, family=Family.FIRST),
-        c=c, A=a_val, alpha=alpha,
-        modulus=modulus_of_k(k), residual=residual)
-
-
-def _family2_grid(k: float) -> list[float]:
-    span = k - 1.0
-    offsets = np.geomspace(1e-6, 0.45 * span, 22)
-    pts = np.concatenate([1.0 + offsets, k - offsets])
-    return sorted(set(float(p) for p in pts))
+    return _solve(Family.FIRST, k, tol, near)
 
 
 @lru_cache(maxsize=16)
@@ -364,30 +379,4 @@ def solve_family2(k: float, tol: float = C_TOL, *,
     rather than a silent choice.  near starts the scan at a guess at c,
     with the same guarantee and the same trade as in solve_family1.
     """
-    k = float(k)
-    k_crit = critical_constants().k_crit
-    if not k > k_crit:
-        raise DomainError(f"second family requires k > {k_crit}, got {k!r}")
-
-    def g_loose(c: float) -> float:
-        return family2_integral(k, c, 1e-9) + math.pi
-
-    def g_tight(c: float) -> float:
-        return family2_integral(k, c, 1e-10) + math.pi
-
-    lo, hi = _scan_bracket(g_loose, _family2_grid(k),
-                           f"family-2 condition at k={k}", near)
-    c = _bisect(g_loose, g_tight, lo, hi, tol,
-                lo_min=1.0 + 1e-9, hi_max=k - 1e-9)
-    residual = g_tight(c)
-    if abs(residual) > RESIDUAL_TOL:
-        raise AccuracyError(f"second-family residual {residual} exceeds {RESIDUAL_TOL}",
-                            best=c, err_est=abs(residual))
-    d = -k / c
-    a_val = (c - d) * math.sqrt((c - 1.0) * (k + c) / ((c + 1.0) * (k - c)))
-    from .developing import alpha_from_parts
-    alpha = alpha_from_parts(k, c, a_val)
-    return AccessorySolution(
-        param=QuadParam(k=k, family=Family.SECOND),
-        c=c, A=a_val, alpha=alpha,
-        modulus=modulus_of_k(k), residual=residual)
+    return _solve(Family.SECOND, k, tol, near)

@@ -40,17 +40,6 @@ __all__ = [
 ARC_FACTOR = 0.02  # arc radius = 0.02 * smallest gap between real singular points
 
 
-def _integrand(k: float, c: float, A: float):
-    kc = k / c
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        sigma = np.sqrt(z + 1.0) * np.sqrt(z - k) / (np.sqrt(z - 1.0) * np.sqrt(z + k))
-        return A * sigma / ((z - c) * (z + kc))
-
-    return f
-
-
 def _integrand_from(k: float, c: float, A: float, e: float, s: float):
     """L-integrand at z = e + s*delta as a function of the displacement.
 
@@ -60,19 +49,14 @@ def _integrand_from(k: float, c: float, A: float, e: float, s: float):
     precision; reconstructing z first and subtracting would zero out
     differences below one ulp of z.
     """
-    d = -k / c
-    o_p1, o_m1 = e + 1.0, e - 1.0
-    o_mk, o_pk = e - k, e + k
-    o_c, o_d = e - c, e - d
+    # offsets from e of the branch points, ordered for sigma below
+    offsets = np.array([e + 1.0, e - k, e - 1.0, e + k])
+    o_c, o_d = e - c, e + k / c
 
     def f(delta):
-        delta = np.asarray(delta)
-        f_p1 = np.asarray(o_p1 + s * delta, dtype=complex)
-        f_m1 = np.asarray(o_m1 + s * delta, dtype=complex)
-        f_mk = np.asarray(o_mk + s * delta, dtype=complex)
-        f_pk = np.asarray(o_pk + s * delta, dtype=complex)
-        sigma = np.sqrt(f_p1) * np.sqrt(f_mk) / (np.sqrt(f_m1) * np.sqrt(f_pk))
-        return A * sigma / ((o_c + s * delta) * (o_d + s * delta))
+        sd = s * np.asarray(delta)
+        r = np.sqrt(np.asarray(np.add.outer(offsets, sd), dtype=complex))
+        return A * (r[0] * r[1] / (r[2] * r[3])) / ((o_c + sd) * (o_d + sd))
 
     return f
 
@@ -189,7 +173,7 @@ def _march(k: float, c: float, A: float, targets: list[float],
 def _polyline_eval(k: float, c: float, A: float, z: complex, tol: float,
                    waypoints=None) -> complex:
     """L(z) along k -> k+ih -> Re z + ih -> z, or along given waypoints."""
-    f = _integrand(k, c, A)
+    f = _integrand_from(k, c, A, 0.0, 1.0)
     branch_reals = {-k, -1.0, 1.0, k}
     if waypoints is None:
         h = max(0.5, z.imag)
@@ -299,7 +283,7 @@ def pole_residue(sol: AccessorySolution, which: str = "c",
                           "(second-family poles lie on the branch cuts)")
     others = [q for q in [-k, -1.0, 1.0, k, c, -k / c] if q != p]
     r = 0.45 * min(abs(p - q) for q in others)
-    f = _integrand(k, c, A)
+    f = _integrand_from(k, c, A, 0.0, 1.0)
     loop = integrate_arc(f, complex(p, 0.0), r, 0.0, 2.0 * math.pi, tol)
     return loop / (2.0j * math.pi)
 

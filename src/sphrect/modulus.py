@@ -82,9 +82,9 @@ def k_of_modulus(target: float, tol: float = 1e-12) -> float:
             raise AccuracyError(f"modulus target {target} out of float range")
     f_lo = miss(lo)
     k = lo if f_lo >= 0.0 else _brent(miss, lo, hi, f_lo, f_hi, 0.0)
-    if abs(modulus_of_k(k) - target) > max(tol, 1e-9):
+    reached = modulus_of_k(k)
+    if abs(reached - target) > max(tol, 1e-9):
         raise AccuracyError(
             f"k_of_modulus({target}) unattainable in double precision "
-            f"(nearest modulus {modulus_of_k(k)})",
-            best=k, err_est=abs(modulus_of_k(k) - target))
+            f"(nearest modulus {reached})", best=k, err_est=abs(reached - target))
     return k

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from sphrect import accessory
 from sphrect import (AccessorySolution, Family, QuadParam, amp_A, bethe_h,
                      bigF, family2_integral, modulus_of_k, solve_family1,
                      solve_family2)
@@ -264,3 +265,18 @@ def test_solve_family2_near_is_bit_identical(k):
 def test_solver_caches():
     assert solve_family1(2.0) is solve_family1(2.0)
     assert solve_family2(3.0) is solve_family2(3.0)
+
+
+@pytest.mark.parametrize("solve, k", [
+    (solve_family1, 1.2), (solve_family1, 2.0), (solve_family1, 2.4),
+    (solve_family2, 2.5), (solve_family2, 3.0), (solve_family2, 40.0)])
+def test_solve_evaluates_each_condition_value_once(solve, k, monkeypatch):
+    # the scan, the bisection, Brent's method and the residual gate share
+    # one solve's evaluations; each (k, c, tol) reaches a functional once
+    calls = []
+    for name in ("bigF", "family2_integral"):
+        fun = getattr(accessory, name)
+        monkeypatch.setattr(accessory, name,
+                            lambda *a, _f=fun: calls.append(a) or _f(*a))
+    solve.__wrapped__(k)  # past the lru_cache
+    assert calls and len(calls) == len(set(calls))

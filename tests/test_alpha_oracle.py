@@ -7,11 +7,13 @@ and extract_alpha reaches L(1) along the independent marching path.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from sphrect import amp_A, critical_constants, extract_alpha
 from sphrect import solve_family1, solve_family2
 from sphrect.developing import _orbit_reduce, alpha_from_parts
+from sphrect.errors import DomainError
 
 K_CRIT = critical_constants().k_crit
 
@@ -90,3 +92,19 @@ def test_alpha_keeps_its_sign():
     assert raw == pytest.approx(-0.8703, abs=1e-4)
     assert sol.alpha == pytest.approx(0.1297, abs=1e-4)
     assert sol.alpha == pytest.approx(_orbit_reduce(raw), abs=1e-13)
+
+
+def test_amp_A_is_the_second_family_amplitude(rng):
+    # one formula through |1 - c| covers both families, bit for bit
+    for _ in range(200):
+        k = float(np.exp(rng.uniform(0.0, 7.0)))
+        c = 1.0 + (k - 1.0) * float(rng.uniform(1e-9, 1.0 - 1e-9))
+        if 1.0 < c < k:
+            assert amp_A(k, c) == _amp2(k, c)
+    for k in (2.5, 3.0, 40.0):
+        c = solve_family2(k).c
+        assert amp_A(k, c) == _amp2(k, c) == solve_family2(k).A
+    for k, c in ((3.0, 1.0), (3.0, 0.0), (3.0, -0.5), (3.0, 3.0), (3.0, 4.0),
+                 (1.0, 0.5), (0.5, 0.25), (3.0, math.nan)):
+        with pytest.raises(DomainError):
+            amp_A(k, c)

@@ -146,7 +146,7 @@ def test_sweep_rows_equal_standalone_solves(tmp_path):
 
 
 def test_sweep_evaluation_budget(tmp_path, monkeypatch):
-    # continuation from the previous root: ~1,210 functional evaluations
+    # continuation from the previous root: ~1,090 functional evaluations
     # per 57-point sweep, against ~3,200 when every point scans afresh
     calls = []
     for name in ("bigF", "family2_integral"):
@@ -157,7 +157,7 @@ def test_sweep_evaluation_budget(tmp_path, monkeypatch):
     accessory.solve_family2.cache_clear()
     code, _, _ = run_cli(*SWEEP_57, "--out", str(tmp_path / "sweep.csv"))
     assert code == 0
-    assert len(calls) <= 1300
+    assert len(calls) <= 1150
 
 
 @pytest.mark.parametrize("argv, flag", [
