@@ -13,7 +13,6 @@ from .elliptic import agm, ellip_E, ellip_K
 from .errors import (AccuracyError, BelyiViolationError, BracketError,
                      DomainError, SphrectError)
 from .modulus import k_of_modulus, modulus_of_k, modulus_oracle
-from .quadrature import (EndpointExponents, integrate_arc, integrate_segment,
-                         integrate_singular)
+from .quadrature import integrate_arc, integrate_segment, integrate_singular
 
 __version__ = "0.1.0"

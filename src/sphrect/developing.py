@@ -24,7 +24,7 @@ import numpy as np
 
 from .accessory import AccessorySolution, _w_integral
 from .errors import DomainError
-from .quadrature import (DEFAULT_BUDGET, _run_pieces, _vectorized,
+from .quadrature import (DEFAULT_BUDGET, _from_end, _run_pieces,
                          integrate_arc, integrate_segment)
 
 __all__ = [
@@ -79,11 +79,9 @@ def _real_segment(k: float, c: float, A: float, x0: float, x1: float,
     hh = 0.5 * abs(x1 - x0)
     pieces = []
     for e, direction, flag in ((x0, s, sqrt_start), (x1, -s, sqrt_end)):
-        g = _vectorized(_integrand_from(k, c, A, e, direction))
-        if flag:
-            pieces.append((lambda u, g=g: 2.0 * hh * u * g(hh * u * u), 0.0, 1.0))
-        else:
-            pieces.append((lambda u, g=g: hh * g(hh * u), 0.0, 1.0))
+        g = _integrand_from(k, c, A, e, direction)
+        pieces.append(_from_end(g, hh) if flag
+                      else (lambda u, g=g: hh * g(hh * u), 0.0, 1.0))
     val, _ = _run_pieces(pieces, tol, DEFAULT_BUDGET)
     return complex(val) * s
 
@@ -111,50 +109,27 @@ def _march(k: float, c: float, A: float, targets: list[float],
            tol: float) -> dict[float, complex]:
     """L at real targets, marching from the base point k along the axis.
 
-    Segments stop at every branch point (square-root substitution on the
-    touching end) and detour over poles on semicircles through the upper
-    half-plane.  Pole radii shrink if a target sits close by.
+    One walk per direction stops, in order of distance from k, at the
+    targets on its side and at every branch point and pole between k and
+    its farthest target.  Segments take the square-root substitution on
+    an end at a branch point; poles, all left of k, are passed on upper
+    semicircles whose radii shrink if a target sits close by.
     """
     branch, poles = _singular_points(k, c)
-    branch_set = set(branch)
     r0 = ARC_FACTOR * _min_gap(k, c)
-    radius = {}
-    for p in poles:
-        near = min((abs(t - p) for t in targets), default=math.inf)
-        radius[p] = min(r0, 0.5 * near)
-
-    out: dict[float, complex] = {}
-    if k in targets:
-        out[k] = 0.0 + 0.0j
-
-    right = sorted(t for t in targets if t > k)
-    cur, val = k, 0.0 + 0.0j
-    for t in right:
-        val += _real_segment(k, c, A, cur, t, tol,
-                             sqrt_start=cur in branch_set,
-                             sqrt_end=t in branch_set)
-        out[t] = val
-        cur = t
-
-    left = [t for t in targets if t < k]
-    if left:
-        lowest = min(left)
-        events: dict[float, set[str]] = {}
-        for t in left:
-            events.setdefault(t, set()).add("target")
-        for b in branch:
-            if lowest < b < k:
-                events.setdefault(b, set()).add("branch")
-        for p in poles:
-            if lowest <= p < k:
-                events.setdefault(p, set()).add("pole")
+    out = {k: 0.0 + 0.0j} if k in targets else {}
+    for s in (1.0, -1.0):  # s * x grows with the distance from k on side s
+        side = {t for t in targets if s * t > s * k}
+        if not side:
+            continue
+        reach = max(s * t for t in side)
+        stops = side | {x for x in branch + poles if s * k < s * x <= reach}
         cur, val = k, 0.0 + 0.0j
-        for pos in sorted(events, reverse=True):
-            kinds = events[pos]
-            if "pole" in kinds:
-                r = radius[pos]
+        for pos in sorted(stops, key=lambda x: s * x):
+            if pos in poles:
+                r = min(r0, 0.5 * min(abs(t - pos) for t in targets))
                 val += _real_segment(k, c, A, cur, pos + r, tol,
-                                     sqrt_start=cur in branch_set)
+                                     sqrt_start=cur in branch)
                 # leftward travel: upper semicircle from angle 0 to pi,
                 # integrated in the displacement from the pole
                 val += integrate_arc(_integrand_from(k, c, A, pos, 1.0),
@@ -162,10 +137,10 @@ def _march(k: float, c: float, A: float, targets: list[float],
                 cur = pos - r
             else:
                 val += _real_segment(k, c, A, cur, pos, tol,
-                                     sqrt_start=cur in branch_set,
-                                     sqrt_end=pos in branch_set)
+                                     sqrt_start=cur in branch,
+                                     sqrt_end=pos in branch)
                 cur = pos
-                if "target" in kinds:
+                if pos in side:
                     out[pos] = val
     return out
 
@@ -181,8 +156,9 @@ def _polyline_eval(k: float, c: float, A: float, z: complex, tol: float,
     else:
         verts = [complex(k, 0.0), *(complex(w) for w in waypoints), z]
         for v in verts:
-            if v.imag < 0.0:
-                raise DomainError(f"waypoint {v} lies below the real axis")
+            if not (cmath.isfinite(v) and v.imag >= 0.0):
+                raise DomainError(f"waypoint {v} is not a finite point of "
+                                  "the closed upper half-plane")
     verts = [complex(v.real, 0.0) if v.imag == 0.0 else v for v in verts]
     total = 0.0 + 0.0j
     for z0, z1 in zip(verts, verts[1:]):
@@ -208,8 +184,9 @@ def L_eval(sol: AccessorySolution, z: complex, tol: float = 1e-10,
     z = complex(z)
     if z.imag == 0.0:
         z = complex(z.real, 0.0)  # normalize -0.0 onto the upper side
-    if z.imag < 0.0:
-        raise DomainError(f"z must lie in the closed upper half-plane, got {z}")
+    if not (cmath.isfinite(z) and z.imag >= 0.0):
+        raise DomainError(f"z must be a finite point of the closed upper "
+                          f"half-plane, got {z}")
     if z == complex(k, 0.0):
         return 0.0 + 0.0j
     for p in (c, -k / c):
@@ -334,6 +311,7 @@ class BoundaryImageReport:
 _SIDE_ORDER = ["(-1,1)", "(1,k)", "outer", "(-k,-1)"]
 _SIDE_TARGET = {"(-1,1)": "line_alpha", "(1,k)": "unit_circle",
                 "outer": "real_line", "(-k,-1)": "unit_circle"}
+_CIRCLES = ("real_line", "unit_circle", "line_alpha")  # the order of dists
 
 
 def boundary_check(sol: AccessorySolution, samples_per_side: int = 16,
@@ -382,31 +360,22 @@ def boundary_check(sol: AccessorySolution, samples_per_side: int = 16,
                 abs(abs(w) - 1.0),          # unit circle
                 abs((w * rot).imag))        # line at the corner angle
 
-    sides = []
-    kept = []
-    margins = {("real_line", "unit_circle"): 0.0,
-               ("real_line", "line_alpha"): 0.0,
-               ("unit_circle", "line_alpha"): 0.0}
-    by_circle = {"real_line": 0, "unit_circle": 1, "line_alpha": 2}
+    sides, kept, every = [], [], []
     for label in _SIDE_ORDER:
         xs = side_samples[label]
         ws = [cmath.exp(lmap[x]) for x in xs]
         all_d = [dists(w) for w in ws]
-        max_real = max((d[0] for d in all_d), default=0.0)
-        max_unit = max((d[1] for d in all_d), default=0.0)
-        max_line = max((d[2] for d in all_d), default=0.0)
+        most = [max((d[i] for d in all_d), default=0.0) for i in range(3)]
         assigned = _SIDE_TARGET[label]
-        max_assigned = {"real_line": max_real, "unit_circle": max_unit,
-                        "line_alpha": max_line}[assigned]
-        sides.append(SideImage(side=label, target=assigned, samples=len(xs),
-                               max_dist_assigned=max_assigned,
-                               max_dist_real=max_real, max_dist_unit=max_unit,
-                               max_dist_line=max_line))
+        sides.append(SideImage(
+            side=label, target=assigned, samples=len(xs),
+            max_dist_assigned=most[_CIRCLES.index(assigned)],
+            max_dist_real=most[0], max_dist_unit=most[1], max_dist_line=most[2]))
         kept.append(tuple(zip(xs, ws)))
-        for pair in margins:
-            i, j = by_circle[pair[0]], by_circle[pair[1]]
-            for d in all_d:
-                margins[pair] = max(margins[pair], min(d[i], d[j]))
+        every += all_d
+    margins = tuple((f"{_CIRCLES[i]}+{_CIRCLES[j]}",
+                     max((min(d[i], d[j]) for d in every), default=0.0))
+                    for i, j in ((0, 1), (0, 2), (1, 2)))
 
     # the unit-circle pair is fixed by the side -> circle assignment;
     # second-family solutions rescale parts of these sides by exp(+-pi)
@@ -417,5 +386,5 @@ def boundary_check(sol: AccessorySolution, samples_per_side: int = 16,
     return BoundaryImageReport(
         alpha=alpha, line_angle=theta, sides=tuple(sides),
         unit_sides=unit_sides, unit_pair_opposite=opposite,
-        two_circle_margins=tuple((f"{a}+{b}", v) for (a, b), v in margins.items()),
+        two_circle_margins=margins,
         samples=tuple(kept) if keep_samples else None)

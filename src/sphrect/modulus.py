@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .elliptic import agm, ellip_K
 from .errors import AccuracyError, DomainError
 from .quadrature import integrate_singular
@@ -46,10 +48,10 @@ def modulus_oracle(k: float, tol: float = 1e-10) -> float:
     k = _check_k(k)
 
     def fw(t):
-        return 1.0 / math.sqrt((1.0 + t) * (k * k - t * t))
+        return 1.0 / np.sqrt((1.0 + t) * (k * k - t * t))
 
     def fh(t):
-        return 1.0 / math.sqrt((t + 1.0) * (t + k))
+        return 1.0 / np.sqrt((t + 1.0) * (t + k))
 
     w_val, _ = integrate_singular(fw, 0.0, 1.0, (0.0, -0.5), tol=tol)
     h_val, _ = integrate_singular(fh, 1.0, k, (-0.5, -0.5), tol=tol)

@@ -4,13 +4,14 @@ The engine is a global-adaptive G7/K15 scheme: the panel with the worst
 error estimate is split until the summed estimate meets the tolerance or
 the panel budget runs out.  Integrable endpoint singularities are removed
 analytically by the substitution x = a + (b - a) u^2 (and its mirror), so
-the engine itself only ever sees smooth integrands.
+the engine itself only ever sees smooth integrands.  Integrands take a
+numpy array of nodes and return the array of values.
 """
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import AccuracyError, DomainError
 
 __all__ = [
-    "EndpointExponents",
     "integrate_singular",
     "integrate_segment",
     "integrate_arc",
@@ -64,33 +64,11 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 _EPS = np.finfo(float).eps
 
 
-def _vectorized(f: Callable) -> Callable:
-    """Wrap f so it always maps a node array to a value array.
-
-    Tries the vectorized call first; falls back to an elementwise loop
-    for integrands written against scalars.
-    """
-    state = {"scalar": False}
-
-    def call(x: np.ndarray) -> np.ndarray:
-        if not state["scalar"]:
-            try:
-                y = np.asarray(f(x))
-                if y.shape == x.shape:
-                    return y
-            except (TypeError, ValueError):
-                pass
-            state["scalar"] = True
-        return np.asarray([f(v) for v in x])
-
-    return call
-
-
-def _panel(fv: Callable, a: float, b: float) -> tuple[complex, float]:
+def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
     """One G7/K15 panel on [a, b]: (kronrod value, error estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fx = fv(mid + half * _NODES)
+    fx = f(mid + half * _NODES)
     resk = half * np.sum(_WK * fx)
     resg = half * np.sum(_WG * fx)
     mean = resk / (b - a)
@@ -126,9 +104,8 @@ def _adaptive(f: Callable, a: float, b: float, tol: float,
     Returns (value, error_estimate); raises AccuracyError (carrying the
     best estimate) if the budget is exhausted first.
     """
-    fv = _vectorized(f)
     budget.take()
-    val, err = _panel(fv, a, b)
+    val, err = _panel(f, a, b)
     # heap of splittable panels, worst error first
     seq = 0
     heap = [(-err, seq, a, b, val, err)]
@@ -145,8 +122,8 @@ def _adaptive(f: Callable, a: float, b: float, tol: float,
                 f"quadrature budget exhausted (err ~ {total_err:.3e}, tol {tol:.3e})",
                 best=total, err_est=total_err)
         pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(fv, pa, pm)
-        v2, e2 = _panel(fv, pm, pb)
+        v1, e1 = _panel(f, pa, pm)
+        v2, e2 = _panel(f, pm, pb)
         total += (v1 + v2) - pval
         total_err += (e1 + e2) - perr
         for item in ((pa, pm, v1, e1), (pm, pb, v2, e2)):
@@ -164,7 +141,8 @@ def _run_pieces(pieces: Sequence[tuple[Callable, float, float]], tol: float,
     """Integrate a list of (f, a, b) pieces under one budget.
 
     Tolerance is split evenly.  If a piece fails, its best estimate still
-    enters the total and the failure is re-raised with the combined sum.
+    enters the total and the failure is re-raised with the combined sum;
+    a non-finite total or error estimate fails the same way.
     """
     budget = _Budget(budget_limit)
     per_tol = tol / len(pieces)
@@ -180,59 +158,44 @@ def _run_pieces(pieces: Sequence[tuple[Callable, float, float]], tol: float,
             failed = exc
         total += val
         total_err += err
+    if failed is None and not (cmath.isfinite(total) and math.isfinite(total_err)):
+        failed = f"non-finite integral {total} (err ~ {total_err:.3e})"
     if failed is not None:
         raise AccuracyError(str(failed), best=total, err_est=total_err)
     return total, total_err
 
 
-def _maybe_real(value: complex) -> float | complex:
-    return value.real if value.imag == 0.0 else value
+def _from_end(g: Callable, h: float, p: float = 0.0) -> tuple[Callable, float, float]:
+    """The piece (F, 0, 1) whose integral is int_0^h d^p g(d) dd.
 
-
-@dataclass(frozen=True)
-class EndpointExponents:
-    """Powers (p, q) of the weight (x - a)^p (b - x)^q; both must be > -1."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if not (self.p > -1.0 and self.q > -1.0):
-            raise DomainError(
-                f"endpoint exponents must exceed -1, got ({self.p}, {self.q})")
+    d = h u^2 folds the weight d^p, p > -1, into the smooth
+    F(u) = 2 h^(p+1) u^(2p+1) g(h u^2); g takes the displacement d from
+    the end, so nodes crowding the end keep their full precision.
+    """
+    scale, power = 2.0 * h ** (p + 1.0), 2.0 * p + 1.0
+    return (lambda u: scale * u ** power * g(h * u * u), 0.0, 1.0)
 
 
 def integrate_singular(f: Callable, a: float, b: float,
-                       exponents: EndpointExponents | tuple[float, float],
+                       exponents: tuple[float, float],
                        tol: float = DEFAULT_TOL,
                        budget: int = DEFAULT_BUDGET) -> tuple[float, float]:
     """Integral of f(x) (x-a)^p (b-x)^q over (a, b) for smooth f.
 
-    The weight is folded analytically through the substitutions
-    x = a + (b-a) u^2 and x = b - (b-a) v^2, one per half, so the engine
-    sees a smooth integrand even for p, q down to -1 (exclusive).
-    Returns (value, error_estimate).
+    exponents = (p, q), both > -1.  Each half is folded through
+    _from_end, one from a and one from b, so the engine sees a smooth
+    integrand.  Returns (value, error_estimate).
     """
     if not a < b:
         raise DomainError(f"need a < b, got a={a!r}, b={b!r}")
-    if not isinstance(exponents, EndpointExponents):
-        exponents = EndpointExponents(*exponents)
-    p, q = exponents.p, exponents.q
+    p, q = exponents
+    if not (p > -1.0 and q > -1.0):
+        raise DomainError(f"endpoint exponents must exceed -1, got ({p}, {q})")
     mid = 0.5 * (a + b)
-    fv = _vectorized(f)
-    hl = mid - a
-    hr = b - mid
-
-    def left(u: np.ndarray) -> np.ndarray:
-        x = a + hl * u * u
-        return 2.0 * hl ** (p + 1.0) * u ** (2.0 * p + 1.0) * fv(x) * (b - x) ** q
-
-    def right(v: np.ndarray) -> np.ndarray:
-        x = b - hr * v * v
-        return 2.0 * hr ** (q + 1.0) * v ** (2.0 * q + 1.0) * fv(x) * (x - a) ** p
-
-    val, err = _run_pieces([(left, 0.0, 1.0), (right, 0.0, 1.0)], tol, budget)
-    return _maybe_real(val), err
+    left = _from_end(lambda d: f(a + d) * (b - (a + d)) ** q, mid - a, p)
+    right = _from_end(lambda d: f(b - d) * ((b - d) - a) ** p, b - mid, q)
+    val, err = _run_pieces([left, right], tol, budget)
+    return (val.real if val.imag == 0.0 else val), err
 
 
 def integrate_segment(f: Callable, z0: complex, z1: complex,
@@ -249,16 +212,12 @@ def integrate_segment(f: Callable, z0: complex, z1: complex,
     dz = z1 - z0
     if dz == 0:
         return 0.0 + 0.0j
-    fv = _vectorized(lambda t: f(z0 + t * dz) * dz)
-    pieces: list[tuple[Callable, float, float]] = []
-    if sqrt_start:
-        pieces.append((lambda u: u * fv(0.5 * u * u), 0.0, 1.0))
-    else:
-        pieces.append((fv, 0.0, 0.5))
-    if sqrt_end:
-        pieces.append((lambda v: v * fv(1.0 - 0.5 * v * v), 0.0, 1.0))
-    else:
-        pieces.append((fv, 0.5, 1.0))
+
+    def fv(t: np.ndarray) -> np.ndarray:
+        return f(z0 + t * dz) * dz
+
+    pieces = [_from_end(fv, 0.5) if sqrt_start else (fv, 0.0, 0.5),
+              _from_end(lambda d: fv(1.0 - d), 0.5) if sqrt_end else (fv, 0.5, 1.0)]
     val, _ = _run_pieces(pieces, tol, budget)
     return complex(val)
 

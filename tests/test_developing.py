@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from sphrect import (L_eval, boundary_check, critical_constants, extract_alpha,
-                     pole_residue, solve_family1)
-from sphrect.developing import _orbit_reduce
+                     pole_residue, solve_family1, solve_family2)
+from sphrect.developing import _march, _orbit_reduce
 from sphrect.errors import DomainError
 
 
@@ -165,3 +165,40 @@ def test_boundary_check_family2(sol2_k3):
 def test_boundary_check_validation(sol_k2):
     with pytest.raises(DomainError):
         boundary_check(sol_k2, samples_per_side=0)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(1.0, math.nan),
+                               complex(math.inf, 1.0), math.inf, -math.inf,
+                               complex(0.3, math.inf), math.nan])
+def test_eval_rejects_non_finite(sol_k2, z):
+    # these returned nan+nanj (and nan raised KeyError) without an error
+    with pytest.raises(DomainError):
+        L_eval(sol_k2, z)
+
+
+def test_eval_rejects_non_finite_waypoint(sol_k2):
+    with pytest.raises(DomainError):
+        L_eval(sol_k2, 0.5 + 0.5j, waypoints=[complex(math.nan, 1.0)])
+
+
+@pytest.mark.parametrize("family, k", [(1, 2.0), (1, 1.2), (2, 3.0), (2, 2.44)])
+def test_march_mixed_targets(family, k):
+    # one march over targets on both sides of k, on branch points, and
+    # between each pole and its neighbouring branch points, against the
+    # polyline route through the upper half-plane
+    sol = (solve_family1 if family == 1 else solve_family2)(k)
+    c, d = sol.c, -k / sol.c
+    branch = [-k, -1.0, 1.0, k]
+    mids = [0.5 * (p + b) for p in (c, d)
+            for b in (max([b for b in branch if b < p], default=None),
+                      min([b for b in branch if b > p], default=None))
+            if b is not None]
+    targets = [k, k + 0.5, 3.0 * k, min(-k, d) - 0.5, -4.0 * k,
+               1.0, -1.0, -k, 0.0, *mids]
+    got = _march(k, c, sol.A, targets, 1e-10)
+    assert got[k] == 0.0
+    for x in targets:
+        if x == k:
+            continue
+        ref = L_eval(sol, x, waypoints=[complex(k, 3.0), complex(x, 3.0)])
+        assert abs(got[x] - ref) <= 1e-9, x

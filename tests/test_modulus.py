@@ -1,6 +1,4 @@
 """Conformal modulus: closed form vs quadrature oracle, inversion."""
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -47,7 +45,7 @@ def test_oracle_example():
 def test_period_integral_identity():
     # W(k) = 2 int_0^1 dt/sqrt((1-t^2)(k^2-t^2)) equals (2/k) K(1/k)
     def fw(t):
-        return 1.0 / math.sqrt((1.0 + t) * (4.0 - t * t))
+        return 1.0 / np.sqrt((1.0 + t) * (4.0 - t * t))
 
     w_val, _ = integrate_singular(fw, 0.0, 1.0, (0.0, -0.5), tol=1e-12)
     assert 2.0 * w_val == pytest.approx(ellip_K(0.5), abs=1e-9)

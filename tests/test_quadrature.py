@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from sphrect.errors import AccuracyError, DomainError
-from sphrect.quadrature import (EndpointExponents, integrate_arc,
-                                integrate_segment, integrate_singular)
+from sphrect.quadrature import (_run_pieces, integrate_arc, integrate_segment,
+                                integrate_singular)
 
 
 def test_exponent_validation():
-    EndpointExponents(-0.5, 0.5)
+    integrate_singular(lambda x: 1.0, -1.0, 1.0, (-0.5, 0.5))
     with pytest.raises(DomainError):
-        EndpointExponents(-1.0, 0.0)
+        integrate_singular(lambda x: 1.0, -1.0, 1.0, (-1.0, 0.0))
     with pytest.raises(DomainError):
-        EndpointExponents(0.0, -1.5)
+        integrate_singular(lambda x: 1.0, -1.0, 1.0, (0.0, -1.5))
 
 
 def test_arcsine_integral():
@@ -48,7 +48,7 @@ def test_singular_domain_checks():
 
 def test_additivity_interior_split():
     def f(x):
-        return math.exp(x) * math.cos(3.0 * x)
+        return np.exp(x) * np.cos(3.0 * x)
 
     whole, _ = integrate_singular(f, 0.0, 1.0, (0.0, 0.0), tol=1e-10)
     left, _ = integrate_singular(f, 0.0, 0.37, (0.0, 0.0), tol=1e-10)
@@ -64,6 +64,19 @@ def test_budget_exhaustion_carries_best():
     err = exc_info.value
     assert err.best is not None
     assert err.err_est is not None and err.err_est > 1e-16
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_integral_raises(bad):
+    # a NaN total or error estimate used to pass `err > tol` as converged;
+    # inf nodes meet the zero Gauss weights, so 0 * inf is expected here
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(AccuracyError) as exc_info:
+            _run_pieces([(lambda x: np.full_like(x, bad), 0.0, 1.0)], 1e-10, 100)
+        assert exc_info.value.best is not None
+        assert exc_info.value.err_est is not None
+        with pytest.raises(AccuracyError):
+            integrate_arc(lambda z: np.full_like(z, bad), 0.0, 1.0, 0.0, 1.0)
 
 
 def test_segment_constant_and_linear():
