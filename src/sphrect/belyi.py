@@ -22,11 +22,10 @@ __all__ = [
     "RationalMap",
     "PortraitPoint",
     "RamificationPortrait",
-    "ExampleReport",
     "dihedral_invariant",
     "example_map",
     "verify_belyi",
-    "example_consistency",
+    "example_anchor",
 ]
 
 DPS = 40
@@ -177,21 +176,6 @@ class RamificationPortrait:
         return tuple(p for p in self.points if p.local_degree >= 2)
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    """Consistency of one algebraic example with the numeric solver."""
-
-    example: int
-    stated_modulus: float
-    k: float
-    c: float
-    alpha: float
-    orbit_value: float
-    expected_alpha: float
-    expected_orbit: float
-    orbit_error: float
-
-
 # ---------------------------------------------------------------- operations
 
 def dihedral_invariant(q: int, z: complex) -> complex:
@@ -220,21 +204,27 @@ def _example1() -> RationalMap:
         label="example-1 (alpha = 1/2, q = 2)")
 
 
+def _example2_numbers(variant: str) -> tuple:
+    """(s, x, a, y, t) of h = s (z-x)^2 (z-a) / ((z-y)^3 (z-t)^3), at DPS."""
+    eps = mp.mpf(2) ** (mp.mpf(1) / 3)
+    a = mp.mpf(5) / 4 * eps ** 2 + mp.mpf(3) / 2 * eps + 3
+    x = -mp.mpf(1) / 10 * eps ** 2 - mp.mpf(3) / 10 * eps + mp.mpf(3) / 5
+    root = mp.sqrt(8 * eps ** 2 + 10 * eps + 13)
+    half_trace = (eps ** 2 + eps + 3) / 2
+    y = half_trace - root / 2
+    if variant == "corrected":
+        t = half_trace + root / 2
+    elif variant == "printed":
+        t = half_trace + root
+    else:
+        raise DomainError(f"variant must be 'corrected' or 'printed', got {variant!r}")
+    s = mp.mpf(33) / 4 * eps ** 2 + mp.mpf(21) / 2 * eps + 13
+    return s, x, a, y, t
+
+
 def _example2(variant: str) -> RationalMap:
     with mp.workdps(DPS):
-        eps = mp.mpf(2) ** (mp.mpf(1) / 3)
-        a = mp.mpf(5) / 4 * eps ** 2 + mp.mpf(3) / 2 * eps + 3
-        x = -mp.mpf(1) / 10 * eps ** 2 - mp.mpf(3) / 10 * eps + mp.mpf(3) / 5
-        disc = 8 * eps ** 2 + 10 * eps + 13
-        half_trace = (eps ** 2 + eps + 3) / 2
-        y = half_trace - mp.sqrt(disc) / 2
-        if variant == "corrected":
-            t = half_trace + mp.sqrt(disc) / 2
-        elif variant == "printed":
-            t = half_trace + mp.sqrt(disc)
-        else:
-            raise DomainError(f"variant must be 'corrected' or 'printed', got {variant!r}")
-        s = mp.mpf(33) / 4 * eps ** 2 + mp.mpf(21) / 2 * eps + 13
+        s, x, a, y, t = _example2_numbers(variant)
         num = [s * c for c in _from_roots([x, x, a])]
         den = _from_roots([y, y, y, t, t, t])
     return RationalMap(
@@ -250,12 +240,17 @@ def _example2(variant: str) -> RationalMap:
         label="example-2 (alpha = 1/3, q = 3)", variant=variant)
 
 
+def _example3_numbers() -> tuple:
+    """(lead, w, v) of h = lead (z-1)^3 / (27 (z-w)^3 (z-v)^3), at DPS."""
+    s3 = mp.sqrt(3)
+    return 64 * (135 + 78 * s3), 4 + 2 * s3, -2 * s3 / 3
+
+
 def _example3() -> RationalMap:
     with mp.workdps(DPS):
-        s3 = mp.sqrt(3)
-        lead = 64 * (135 + 78 * s3)
+        lead, w, v = _example3_numbers()
         num = [lead * c for c in _from_roots([mp.mpf(1)] * 3)]
-        den = [27 * c for c in _from_roots([4 + 2 * s3] * 3 + [-2 * s3 / 3] * 3)]
+        den = [27 * c for c in _from_roots([w] * 3 + [v] * 3)]
     return RationalMap(
         num=tuple(num), den=tuple(den), degree=6,
         provenance=("h(z) = 64 (135 + 78 sqrt(3)) (z-1)^3 / "
@@ -482,27 +477,25 @@ def example2_conditions(variant: str = "corrected") -> dict[str, float]:
     return out
 
 
-_EXAMPLE_DATA = {1: (0.63963, 0.5), 2: (0.67957, 1.0 / 3.0), 3: (0.57735, 2.0 / 3.0)}
+def example_anchor(n: int) -> tuple:
+    """Exact (k, c) of example n in {1, 2, 3}, as mpf at DPS digits.
 
-
-def example_consistency(n: int) -> ExampleReport:
-    """Numeric solver run at the example's stated modulus.
-
-    Recovers k from the printed 5-digit modulus, solves the accessory
-    problem there, and compares the angle orbit min{alpha, 1 - alpha}
-    with the example's alpha.
+    The corners are the odd-degree points over 0 and 1: -2, -1, 1, 2 in
+    example 1, whose pole in (0, 1) is c = sqrt(3) - 1.  In examples 2
+    and 3 they are (0, 1, a, inf), which z -> k (z - r) / (z + r), with
+    r = sqrt(a) and k = (r + 1) / (r - 1), sends to (-k, -1, 1, k); c is
+    the image of the triple pole w.
     """
-    if n not in _EXAMPLE_DATA:
-        raise DomainError(f"example index must be 1, 2 or 3, got {n!r}")
-    from .accessory import solve_family1
-    from .modulus import k_of_modulus
-    stated_k, expected_alpha = _EXAMPLE_DATA[n]
-    k = k_of_modulus(stated_k)
-    sol = solve_family1(k)
-    orbit = min(sol.alpha, 1.0 - sol.alpha)
-    expected_orbit = min(expected_alpha, 1.0 - expected_alpha)
-    return ExampleReport(
-        example=n, stated_modulus=stated_k, k=k, c=sol.c, alpha=sol.alpha,
-        orbit_value=orbit, expected_alpha=expected_alpha,
-        expected_orbit=expected_orbit,
-        orbit_error=abs(orbit - expected_orbit))
+    with mp.workdps(DPS):
+        if n == 1:
+            return mp.mpf(2), mp.sqrt(3) - 1
+        if n == 2:
+            _, _, a, _, w = _example2_numbers("corrected")
+        elif n == 3:
+            _, w, _ = _example3_numbers()
+            a = 2 * w  # the corner 8 + 4 sqrt(3)
+        else:
+            raise DomainError(f"example index must be 1, 2 or 3, got {n!r}")
+        r = mp.sqrt(a)
+        k = (r + 1) / (r - 1)
+        return k, k * (w - r) / (w + r)

@@ -31,7 +31,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
 FORBIDDEN_HALF_WIDTH = 1e-9   # reject solve requests this close to k_crit
-SWEEP_SKIP_HALF_WIDTH = 1e-6  # silently skip sweep grid points this close
+SWEEP_SKIP_HALF_WIDTH = 2e-6  # silently skip sweep grid points this close
 SVG_CLIP_RADIUS = 10.0        # image points beyond this are left off the plot
 
 
@@ -154,10 +154,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_modulus(args: argparse.Namespace) -> int:
-    if args.k is not None:
-        k = args.k
-    else:
-        k = k_of_modulus(args.K, tol=args.tol_root)
+    k = args.k if args.k is not None else k_of_modulus(args.K)
     mod = modulus_of_k(k)
     _emit({"k": k, "modulus": mod, "inverse_modulus": 1.0 / mod})
     return EXIT_OK
@@ -337,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 1e-10)")
     parser.add_argument("--tol-root", type=lambda t: _tolerance(t, True),
                         default=1e-12,
-                        help="root-finding tolerance for solve, sweep and "
-                             "modulus inversion (default 1e-12)")
+                        help="root-finding tolerance for solve and sweep "
+                             "(default 1e-12)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="print the critical constants")
@@ -359,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modulus", help="convert between k and the modulus")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=float, help="shape parameter k > 1")
-    group.add_argument("--K", type=float, help="target modulus in (0, 1)")
+    group.add_argument("--K", type=float, help="target modulus M > 0")
     p.set_defaults(func=cmd_modulus)
 
     p = sub.add_parser("belyi", help="verify one of the algebraic example maps")

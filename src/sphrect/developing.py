@@ -33,7 +33,6 @@ __all__ = [
     "L_eval",
     "alpha_from_parts",
     "extract_alpha",
-    "pole_residue",
     "boundary_check",
 ]
 
@@ -241,28 +240,6 @@ def extract_alpha(sol: AccessorySolution, tol: float = 1e-10) -> float:
     and folded by the dihedral orbit rule min{frac, 1 - frac}."""
     raw = L_eval(sol, 1.0, tol).imag / math.pi
     return _orbit_reduce(raw)
-
-
-def pole_residue(sol: AccessorySolution, which: str = "c",
-                 tol: float = 1e-10) -> complex:
-    """Residue of the L-integrand at a pole, by a small closed loop.
-
-    Only meaningful for the first family, where both poles sit away
-    from the branch cuts (-k,-1) and (1,k) so the integrand is analytic
-    in a punctured disc around them.
-    """
-    k, c, A = sol.param.k, sol.c, sol.A
-    p = {"c": c, "d": -k / c}.get(which)
-    if p is None:
-        raise DomainError(f"which must be 'c' or 'd', got {which!r}")
-    if not (0.0 < c < 1.0):
-        raise DomainError("residue loops are only valid for first-family poles "
-                          "(second-family poles lie on the branch cuts)")
-    others = [q for q in [-k, -1.0, 1.0, k, c, -k / c] if q != p]
-    r = 0.45 * min(abs(p - q) for q in others)
-    f = _integrand_from(k, c, A, 0.0, 1.0)
-    loop = integrate_arc(f, complex(p, 0.0), r, 0.0, 2.0 * math.pi, tol)
-    return loop / (2.0j * math.pi)
 
 
 @dataclass(frozen=True)

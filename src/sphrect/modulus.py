@@ -4,7 +4,7 @@ For k > 1 the branch points -k, -1, 1, k cut out a ring domain whose
 modulus is expressible through complete elliptic integrals; the same
 quantity is also a ratio of two period integrals, kept here as an
 independent cross-check.  The modulus is strictly increasing in k and
-maps (1, inf) onto (0, inf), so inversion is a bracketed root search.
+maps (1, inf) onto (0, inf); its inverse is a ratio of theta constants.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import numpy as np
 from .elliptic import agm, ellip_K
 from .errors import AccuracyError, DomainError
 from .quadrature import integrate_singular
-from .roots import _brent
 
 __all__ = ["modulus_of_k", "modulus_oracle", "k_of_modulus"]
 
@@ -58,35 +57,36 @@ def modulus_oracle(k: float, tol: float = 1e-10) -> float:
     return h_val / (2.0 * w_val)
 
 
-def k_of_modulus(target: float, tol: float = 1e-12) -> float:
-    """Inverse of modulus_of_k by Brent's method.
+def k_of_modulus(target: float) -> float:
+    """Inverse of modulus_of_k in closed form, from theta constants.
 
-    Mathematically any target in (0, inf) is attainable, but in double
-    precision k cannot sit closer to 1 than one ulp, which floors the
-    reachable moduli: every target below about 0.054 raises
-    AccuracyError, every target above about 0.066 inverts, and targets
-    in between may do either.
+    The nome of 1/k is q = exp(-2 pi M), so k = theta3(q)^2 / theta2(q)^2
+    (Borwein & Borwein, Pi and the AGM, 1987), with theta2(q)^2 =
+    4 exp(-pi M) (sum q^(n(n+1)))^2.  Below M = 1/2 the complementary nome
+    p = exp(-pi/(2M)) is smaller, and k - 1 = (theta3 - theta4)(theta3 +
+    theta4)/theta4^2 at p does not cancel.  With either nome at most
+    exp(-pi), powers up to the 12th reach double precision.  Raises
+    AccuracyError below ~0.041, the modulus of 1 + 2^-52, where k rounds
+    to 1, and above ~226, where k overflows.
     """
     target = float(target)
     if not target > 0.0:
         raise DomainError(f"modulus must be positive, got {target!r}")
-
-    def miss(k: float) -> float:
-        # a miss within tol counts as a root, which ends the search there
-        d = modulus_of_k(k) - target
-        return 0.0 if abs(d) <= tol else d
-
-    lo = 1.0 + 1e-15
-    hi = 2.0
-    while (f_hi := miss(hi)) < 0.0:
-        hi *= 4.0
-        if hi > 1e300:  # unreachable for any float target
-            raise AccuracyError(f"modulus target {target} out of float range")
-    f_lo = miss(lo)
-    k = lo if f_lo >= 0.0 else _brent(miss, lo, hi, f_lo, f_hi, 0.0)
-    reached = modulus_of_k(k)
-    if abs(reached - target) > max(tol, 1e-9):
-        raise AccuracyError(
-            f"k_of_modulus({target}) unattainable in double precision "
-            f"(nearest modulus {reached})", best=k, err_est=abs(reached - target))
+    if target >= 0.5:
+        q = math.exp(-2.0 * math.pi * target)
+        a = 2.0 * (q + q ** 4 + q ** 9)   # theta3 - 1
+        b = q ** 2 + q ** 6 + q ** 12     # sum q^(n(n+1)) - 1
+        d = (a - b) / (1.0 + b)           # theta3 / sum - 1
+        try:
+            lift = 0.25 * math.exp(math.pi * target)
+        except OverflowError:
+            lift = math.inf
+        k = lift + lift * (d * (2.0 + d))  # lift (1 + d)^2, rounded once
+    else:
+        p = math.exp(-0.5 * math.pi / target)
+        theta4 = 1.0 - 2.0 * (p - p ** 4 + p ** 9)
+        k = 1.0 + 8.0 * (p + p ** 9) * (1.0 + 2.0 * p ** 4) / theta4 ** 2
+    if k == 1.0 or not math.isfinite(k):
+        raise AccuracyError(f"no double k > 1 has modulus {target}: k "
+                            f"{'rounds to 1' if k == 1.0 else 'overflows'}")
     return k

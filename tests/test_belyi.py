@@ -5,10 +5,10 @@ import math
 import mpmath as mp
 import pytest
 
-from sphrect import belyi
+from sphrect import belyi, modulus_of_k, solve_family1
 from sphrect.belyi import (PortraitPoint, RamificationPortrait, RationalMap,
                            dihedral_invariant, example2_conditions,
-                           example_consistency, example_map, verify_belyi)
+                           example_anchor, example_map, verify_belyi)
 from sphrect.errors import AccuracyError, BelyiViolationError, DomainError
 
 S3 = math.sqrt(3.0)
@@ -179,25 +179,70 @@ def test_portrait_consistency_enforced():
         RamificationPortrait(degree=2, points=bad)
 
 
+def _solver_gap(n: int) -> tuple[float, float]:
+    """(solver c - anchor c, solver alpha) at example n's exact k."""
+    k, c = example_anchor(n)
+    sol = solve_family1(float(k))
+    return float(sol.c - c), sol.alpha
+
+
 @pytest.mark.parametrize("n,k_want,alpha_want", [(1, 2.0, 0.5)])
 def test_example_consistency_first(n, k_want, alpha_want):
-    rep = example_consistency(n)
-    assert rep.k == pytest.approx(k_want, abs=1e-3)
-    assert rep.alpha == pytest.approx(alpha_want, abs=1e-4)
-    assert rep.orbit_error <= 1e-3
+    k, c = example_anchor(n)
+    assert k == k_want
+    with mp.workdps(belyi.DPS):
+        assert c == mp.sqrt(3) - 1
+    gap, alpha = _solver_gap(n)
+    assert abs(gap) <= 1e-12
+    assert abs(alpha - alpha_want) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_example_consistency_orbit(n):
-    rep = example_consistency(n)
-    assert rep.orbit_value == pytest.approx(1.0 / 3.0, abs=1e-3)
-    assert rep.expected_orbit == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert rep.orbit_error <= 1e-3
+    # the orbit value min{alpha, 1 - alpha} of both examples is 1/3
+    gap, alpha = _solver_gap(n)
+    assert abs(gap) <= 1e-12
+    assert abs(alpha - 1.0 / 3.0) <= 1e-12
 
 
 def test_example_consistency_domain():
     with pytest.raises(DomainError):
-        example_consistency(0)
+        example_anchor(0)
+
+
+@pytest.mark.parametrize("n,k_want,c_want,stated_modulus", [
+    (1, "2", "0.73205080756887729353", 0.63963),
+    (2, "2.23315452058363046", "0.87779703036753309", 0.67957),
+    (3, "1.69839637241709975", "0.53981362425956083", 0.57735)])
+def test_example_anchor_values(n, k_want, c_want, stated_modulus):
+    k, c = example_anchor(n)
+    with mp.workdps(belyi.DPS):
+        assert abs(k - mp.mpf(k_want)) <= 1e-17
+        assert abs(c - mp.mpf(c_want)) <= 1e-17
+    # the moduli the examples are stated with, to their 5 printed digits
+    assert modulus_of_k(float(k)) == pytest.approx(stated_modulus, abs=5e-6)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_example_anchor_maps_corners(n):
+    # the corners are the odd-degree points over 0 and 1; the Mobius map
+    # of the anchor sends them to -k, -1, 1, k and one triple pole to c,
+    # the only one it sends into (0, 1)
+    k, c = example_anchor(n)
+    portrait = verify_belyi(example_map(n))
+    corners = sorted(p.point.real for p in portrait.points
+                     if p.point is not None and p.critical_value != math.inf
+                     and p.local_degree % 2)
+    poles = [p.point.real for p in portrait.fiber(math.inf)
+             if p.local_degree == 3]
+    with mp.workdps(belyi.DPS):
+        r = mp.sqrt(corners[-1])  # corners (0, 1, a); the fourth is infinity
+        moved = [k * (z - r) / (z + r) for z in corners + poles]
+    assert corners[:2] == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert [float(z) for z in moved[:3]] == pytest.approx(
+        [-float(k), -1.0, 1.0], abs=1e-12)
+    inside = [z for z in moved[3:] if 0 < z < 1]
+    assert len(inside) == 1 and abs(inside[0] - c) <= 1e-12
 
 
 @pytest.mark.parametrize("coeff", [int, mp.mpf])

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from sphrect import accessory, cli, solve_family1, solve_family2
+from sphrect import (accessory, cli, critical_constants, solve_family1,
+                     solve_family2)
 from sphrect.errors import BelyiViolationError
 
 
@@ -92,6 +93,16 @@ def test_modulus_both_directions():
     assert code == 0
     data = json.loads(out)
     assert data["k"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_modulus_small_targets():
+    # 0.05 inverts to k - 1 ~ 1.8e-13; at 0.03, k would round to 1
+    code, out, _ = run_cli("modulus", "--K", "0.05")
+    assert code == 0
+    assert 1.0 < json.loads(out)["k"] < 1.0 + 1e-12
+    code, _, err = run_cli("modulus", "--K", "0.03")
+    assert code == 3
+    assert "rounds to 1" in err
 
 
 def test_modulus_flag_exclusivity():
@@ -205,6 +216,16 @@ def test_sweep_skips_critical_zone(tmp_path):
     assert "skipping" in err
     rows = out_path.read_text().strip().splitlines()[1:]
     assert len(rows) == 2
+
+
+def test_sweep_skips_second_family_band(tmp_path):
+    # k - k_crit up to ~1.6e-6 has no second-family bracket; the skip
+    # band covers it, so neither point fails the sweep
+    k = critical_constants().k_crit + 1.3e-6
+    code, _, err = run_cli("sweep", "--k-min", repr(k), "--k-max", repr(k + 1e-7),
+                           "--steps", "2", "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert "skipping" in err
 
 
 def test_sweep_usage_errors(tmp_path):

@@ -1,7 +1,11 @@
 """Conformal modulus: closed form vs quadrature oracle, inversion."""
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphrect import ellip_K, k_of_modulus, modulus_of_k, modulus_oracle
 from sphrect.errors import AccuracyError, DomainError
@@ -10,6 +14,30 @@ from sphrect.quadrature import integrate_singular
 # shared 500-point log grid; computed once at import, reused by three tests
 _GRID = np.geomspace(1.001, 50.0, 500)
 _MODS = [modulus_of_k(float(k)) for k in _GRID]
+
+
+def _k_reference(target: float, start: float):
+    """40-digit k whose modulus K(1 - 1/k^2) / (2 K(1/k^2)) is target.
+
+    A root search on mpmath's ellipk (it takes the parameter), in
+    u = log(k - 1) so that k - 1 near 1e-16 stays resolved; start is
+    only the first iterate, the modulus is monotone in u.
+    """
+    with mp.workdps(40):
+        goal = mp.mpf(target)
+
+        def miss(u):
+            k = 1 + mp.exp(u)
+            return mp.ellipk(1 - 1 / k ** 2) / (2 * mp.ellipk(1 / k ** 2)) - goal
+
+        return 1 + mp.exp(mp.findroot(miss, mp.log(mp.mpf(start) - 1)))
+
+
+def _assert_within_ulps(target: float) -> None:
+    # exp(pi M) amplifies the rounding of pi M, hence the 2 pi M ulp
+    k = k_of_modulus(target)
+    miss = abs(mp.mpf(k) - _k_reference(target, k)) / math.ulp(k)
+    assert miss <= 4 + 2 * math.pi * target
 
 
 def test_frozen_values():
@@ -31,6 +59,8 @@ def test_domain():
         k_of_modulus(0.0)
     with pytest.raises(DomainError):
         k_of_modulus(-1.0)
+    with pytest.raises(DomainError):
+        k_of_modulus(math.nan)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, 3.0, 5.0])
@@ -80,10 +110,31 @@ def test_below_critical_band(consts):
 
 def test_unreachable_small_modulus():
     # k cannot sit closer to 1 than one ulp, flooring the modulus range
+    # near 0.041, the modulus of 1 + 2^-52
     with pytest.raises(AccuracyError):
         k_of_modulus(0.03)
     with pytest.raises(AccuracyError):
-        k_of_modulus(0.05)
+        k_of_modulus(0.040)
+
+
+@pytest.mark.parametrize("target", [5e-324, 230.0, 1e300, math.inf])
+def test_unattainable_targets_raise_accuracy_error(target):
+    # k rounds to 1, or overflows: never ZeroDivisionError or OverflowError
+    with pytest.raises(AccuracyError):
+        k_of_modulus(target)
+
+
+# 0.05 and 0.06 sit below the floor of a bracketed search on modulus_of_k
+@pytest.mark.parametrize("target", [0.05, 0.06] + [
+    modulus_of_k(k) for k in (1.0 + 1e-6, 1.05, 2.0, 3.0, 50.0, 1000.0)])
+def test_k_of_modulus_against_mpmath(target):
+    _assert_within_ulps(target)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(min_value=0.041, max_value=10.0))
+def test_k_of_modulus_within_ulps_property(target):
+    _assert_within_ulps(target)
 
 
 def test_large_modulus_inverts():

@@ -1,4 +1,4 @@
-"""The bracketed root finder and its three callers."""
+"""The bracketed root finder and its callers."""
 import math
 
 import mpmath as mp
@@ -89,4 +89,4 @@ def test_k_of_modulus_evaluation_count(monkeypatch, k):
     f = _recording(modulus.modulus_of_k)
     monkeypatch.setattr(modulus, "modulus_of_k", f)
     assert modulus.k_of_modulus(target) == pytest.approx(k, rel=1e-9)
-    assert len(f.calls) <= 40  # 70 to 116 by bisection
+    assert not f.calls  # a closed form, not a search
