@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import critical_constants
 from .errors import AccuracyError, BracketError, DomainError
-from .modulus import modulus_of_k
+from .modulus import _check_k, modulus_of_k
 from .quadrature import integrate_singular
 from .roots import _brent
 
@@ -61,8 +61,7 @@ class QuadParam:
     family: Family
 
     def __post_init__(self) -> None:
-        if not self.k > 1.0:
-            raise DomainError(f"need k > 1, got {self.k!r}")
+        _check_k(self.k)
         k_crit = critical_constants().k_crit
         if self.family is Family.FIRST and not self.k < k_crit:
             raise DomainError(f"first family requires k < {k_crit}, got {self.k}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .accessory import AccessorySolution, Family, solve_family1, solve_family2
 from .belyi import RamificationPortrait, example2_conditions, example_map, verify_belyi
@@ -33,18 +32,6 @@ EXIT_VERIFICATION = 4
 FORBIDDEN_HALF_WIDTH = 1e-9   # reject solve requests this close to k_crit
 SWEEP_SKIP_HALF_WIDTH = 2e-6  # silently skip sweep grid points this close
 SVG_CLIP_RADIUS = 10.0        # image points beyond this are left off the plot
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One solved grid point of a parameter sweep."""
-
-    k: float
-    c: float
-    alpha: float
-    modulus: float
-    residual: float
-    family: Family
 
 
 # ------------------------------------------------------------- JSON emission
@@ -111,8 +98,6 @@ def _solve_any(k: float, tol_root: float,
     """Dispatch on which side of k_crit the shape parameter falls;
     near, a guess at c, is passed on to the solver."""
     cc = critical_constants()
-    if not k > 1.0:
-        raise DomainError(f"--k must exceed 1, got {k}")
     if abs(k - cc.k_crit) < FORBIDDEN_HALF_WIDTH:
         raise DomainError(
             f"k = {k} lies within {FORBIDDEN_HALF_WIDTH:g} of the critical "
@@ -167,7 +152,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.steps < 2:
         raise DomainError(f"--steps must be at least 2, got {args.steps}")
     cc = critical_constants()
-    rows: list[SweepRow] = []
+    rows: list[AccessorySolution] = []
     for i in range(args.steps):
         k = args.k_min + (args.k_max - args.k_min) * i / (args.steps - 1)
         if abs(k - cc.k_crit) <= SWEEP_SKIP_HALF_WIDTH:
@@ -176,17 +161,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         # continue from the previous root of the same family
         family = Family.FIRST if k < cc.k_crit else Family.SECOND
-        near = rows[-1].c if rows and rows[-1].family is family else None
-        sol = _solve_any(k, args.tol_root, near)
-        rows.append(SweepRow(k=k, c=sol.c, alpha=sol.alpha,
-                             modulus=sol.modulus, residual=sol.residual,
-                             family=sol.param.family))
+        near = rows[-1].c if rows and rows[-1].param.family is family else None
+        rows.append(_solve_any(k, args.tol_root, near))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("k,c,alpha,modulus,residual,family\n")
         for row in rows:
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (
-                row.k, row.c, row.alpha, row.modulus, row.residual,
-                row.family.value))
+                row.param.k, row.c, row.alpha, row.modulus, row.residual,
+                row.param.family.value))
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 

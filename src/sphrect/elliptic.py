@@ -16,30 +16,13 @@ __all__ = ["agm", "ellip_K", "ellip_E"]
 _MAX_ITER = 64  # AGM converges quadratically; 64 is far beyond need
 
 
-def agm(a: float, b: float) -> float:
-    """Common limit of the arithmetic-geometric mean iteration.
+def _agm(a: float, b: float, csum: float) -> tuple[float, float]:
+    """AGM of (a, b) together with csum + sum_{n>=1} 2^(n-1) c_n^2.
 
-    Iterates (a, b) -> ((a+b)/2, sqrt(ab)) until |a - b| <= 4 ulp(a).
-    Both arguments must be positive.
+    Iterates (a, b) -> ((a+b)/2, sqrt(ab)) until |a - b| <= 4 ulp(a);
+    c_{n+1} = (a_n - b_n)/2, and the weighted sum feeds the second-kind
+    integral.  Returns (agm, csum).
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"agm requires positive arguments, got {a!r}, {b!r}")
-    for _ in range(_MAX_ITER):
-        if abs(a - b) <= 4.0 * math.ulp(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return a
-
-
-def _agm_with_csum(kappa: float) -> tuple[float, float]:
-    """AGM of (1, kappa') together with sum(2^(n-1) c_n^2).
-
-    c_0 = kappa and c_{n+1} = (a_n - b_n)/2; the weighted sum feeds the
-    second-kind integral.  Returns (agm, csum).
-    """
-    a = 1.0
-    b = math.sqrt((1.0 - kappa) * (1.0 + kappa))
-    csum = 0.5 * kappa * kappa  # n = 0 term
     weight = 0.5
     for _ in range(_MAX_ITER):
         if abs(a - b) <= 4.0 * math.ulp(a):
@@ -49,6 +32,16 @@ def _agm_with_csum(kappa: float) -> tuple[float, float]:
         csum += weight * c * c
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     return a, csum
+
+
+def agm(a: float, b: float) -> float:
+    """Common limit of the arithmetic-geometric mean iteration.
+
+    Both arguments must be positive.
+    """
+    if not (a > 0.0 and b > 0.0):
+        raise DomainError(f"agm requires positive arguments, got {a!r}, {b!r}")
+    return _agm(a, b, 0.0)[0]
 
 
 def ellip_K(m: float) -> float:
@@ -73,6 +66,7 @@ def ellip_E(m: float) -> float:
         raise DomainError(f"ellip_E needs modulus in [0, 1], got {kappa!r}")
     if kappa == 1.0:
         return 1.0
-    limit, csum = _agm_with_csum(kappa)
+    comp = math.sqrt((1.0 - kappa) * (1.0 + kappa))
+    limit, csum = _agm(1.0, comp, 0.5 * kappa * kappa)  # c_0 = kappa
     big_k = math.pi / (2.0 * limit)
     return big_k * (1.0 - csum)

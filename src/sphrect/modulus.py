@@ -21,8 +21,8 @@ __all__ = ["modulus_of_k", "modulus_oracle", "k_of_modulus"]
 
 def _check_k(k: float) -> float:
     k = float(k)
-    if not k > 1.0:
-        raise DomainError(f"need k > 1, got {k!r}")
+    if not 1.0 < k < math.inf:
+        raise DomainError(f"need finite k > 1, got {k!r}")
     return k
 
 

@@ -84,6 +84,14 @@ def test_quad_param_validation(consts):
     assert Family.SECOND.value == "second"
 
 
+@pytest.mark.parametrize("k", [math.inf, math.nan])
+def test_non_finite_k_rejected(k):
+    with pytest.raises(DomainError, match="need finite k > 1"):
+        QuadParam(k=k, family=Family.SECOND)
+    with pytest.raises(DomainError, match="need finite k > 1"):
+        modulus_of_k(k)
+
+
 def test_solve_family1_k2(sol_k2):
     # root and amplitude have closed forms at k = 2: c = sqrt(3) - 1 and
     # A = 2 sqrt(3) sqrt(1/3) = 2 (the inner ratio collapses to 1/3)

@@ -131,7 +131,8 @@ def test_verify_belyi_portraits(n):
 
 
 def test_printed_variant_fails_verification():
-    with pytest.raises(BelyiViolationError):
+    # its fiber over 1 is unramified, so the three fibers fall short
+    with pytest.raises(BelyiViolationError, match="Riemann-Hurwitz sum 7 "):
         verify_belyi(example_map(2, "printed"), tol=1e-10)
 
 
@@ -313,8 +314,20 @@ def test_each_root_is_polished_once(monkeypatch):
 
     monkeypatch.setattr(belyi, "_refine_root", counting)
     verify_belyi(example_map(1))
-    # W has 4 distinct roots and the three fibers have 2 each
-    assert len(calls) == 10
+    # the three fibers have 2 distinct roots each
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_verify_factors_three_fibers(n, monkeypatch):
+    # Riemann-Hurwitz settles the check on the fibers over 0, 1 and inf;
+    # no fourth polynomial (the Wronskian) is factored
+    calls = []
+    roots = belyi._roots_with_multiplicity
+    monkeypatch.setattr(belyi, "_roots_with_multiplicity",
+                        lambda poly: calls.append(poly) or roots(poly))
+    verify_belyi(example_map(n))
+    assert len(calls) == 3
 
 
 def test_split_cluster_merges_into_one_root():
@@ -332,3 +345,64 @@ def test_split_cluster_merges_into_one_root():
             pass
         else:
             assert [(float(r), m) for r, m in roots] == [(1.0, 6)]
+
+
+def _polynomial_map(coeffs, label: str) -> RationalMap:
+    """The map num/1 with the given descending coefficients."""
+    num = tuple(mp.mpf(c) for c in coeffs)
+    return RationalMap(num=num, den=(mp.mpf(1),), degree=len(num) - 1,
+                       provenance=label, label=label)
+
+
+def _chebyshev(n: int) -> list:
+    """Integer coefficients of T_n, descending."""
+    prev, cur = [1], [1, 0]
+    for _ in range(n - 1):
+        prev, cur = cur, [a - b for a, b in zip([2 * c for c in cur] + [0],
+                                                [0, 0] + prev)]
+    return cur
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_power_map_is_belyi(n):
+    portrait = verify_belyi(_polynomial_map([1] + [0] * n, f"z^{n}"))
+    roots_of_unity = [(cmath.exp(2j * math.pi * j / n), 1, 1.0)
+                      for j in range(n)]
+    _assert_portrait_matches(portrait, [(0.0, n, 0.0), (None, n, math.inf)]
+                             + roots_of_unity)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_chebyshev_shift_is_belyi(n):
+    # (1 - T_n)/2 has critical values 0 and 1: its double points are the
+    # extrema cos(j pi / n) of T_n, over 0 where T_n = 1
+    coeffs = [-c / 2 for c in _chebyshev(n)]
+    coeffs[-1] += 0.5
+    portrait = verify_belyi(_polynomial_map(coeffs, f"(1 - T_{n})/2"))
+    doubles = [(math.cos(j * math.pi / n), 2, float(j % 2))
+               for j in range(1, n)]
+    _assert_portrait_matches(portrait, doubles + [
+        (1.0, 1, 0.0), (-1.0, 1, float(n % 2)), (None, n, math.inf)])
+
+
+@pytest.mark.parametrize("coeffs, label", [
+    *[(_chebyshev(n), f"T_{n}") for n in range(2, 7)],
+    ([1, 0, -3, 0], "z^3 - 3z"),
+])
+def test_non_belyi_polynomial_raises(coeffs, label):
+    # critical values -1 and 1 (T_n) or -2 and 2 (z^3 - 3z)
+    with pytest.raises(BelyiViolationError):
+        verify_belyi(_polynomial_map(coeffs, label))
+
+
+@pytest.mark.parametrize("delta, belyi_within_tol", [(1e-6, True), (3e-5, False)])
+def test_tol_bounds_the_critical_value(delta, belyi_within_tol):
+    # the roots +-delta of z^2 - delta^2 cluster into one double point at
+    # 0 with critical value -delta^2: 1e-12 passes tol 1e-10, 9e-10 not
+    rmap = _polynomial_map([1, 0, -mp.mpf(delta) ** 2], "z^2 - delta^2")
+    if belyi_within_tol:
+        _assert_portrait_matches(verify_belyi(rmap, tol=1e-10), [
+            (0.0, 2, 0.0), (None, 2, math.inf), (1.0, 1, 1.0), (-1.0, 1, 1.0)])
+    else:
+        with pytest.raises(BelyiViolationError, match="critical point 0j"):
+            verify_belyi(rmap, tol=1e-10)

@@ -65,6 +65,21 @@ def test_solve_usage_errors():
     assert "forbidden" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("solve", "--k", "inf"),
+    ("boundary", "--k", "inf", "--samples", "4"),
+    ("modulus", "--k", "inf"),
+])
+def test_non_finite_k_is_a_usage_error(command):
+    # an infinite k used to reach the quadrature and fail there, with
+    # numpy's warning on stderr, or to fail inside the AGM
+    code, out, err = run_cli(*command)
+    assert code == 2
+    assert out == ""
+    assert "need finite k > 1, got inf" in err
+    assert "RuntimeWarning" not in err
+
+
 def test_solve_nonconvergence_exit():
     # inside the collar where the root collides with the branch point:
     # honest failure, not a silent wrong answer
