@@ -357,8 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads '-inf' (no digit after the '-') as an option, not as
+    # a value: glue such values to their option, '--k=-inf'
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and \
+                argv[i].lower() in ("-inf", "-infinity", "-nan"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -80,6 +80,27 @@ def test_non_finite_k_is_a_usage_error(command):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("command, shown", [
+    (("solve", "--k", "-inf"), "-inf"),
+    (("solve", "--k", "-Infinity"), "-inf"),
+    (("solve", "--k", "-nan"), "nan"),
+    (("boundary", "--k", "-inf", "--samples", "4"), "-inf"),
+    (("modulus", "--k", "-inf"), "-inf"),
+    (("sweep", "--k-min", "-inf", "--k-max", "3", "--steps", "3",
+      "--out", "never-written.csv"), "-inf"),
+    (("sweep", "--k-min", "1.5", "--k-max", "-nan", "--steps", "3",
+      "--out", "never-written.csv"), "nan"),
+])
+def test_negative_non_finite_k_is_named(command, shown):
+    # argparse alone reads '-inf' as an option and exits 2 with
+    # "expected one argument", never naming the value
+    code, out, err = run_cli(*command)
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" not in err
+    assert shown in err
+
+
 def test_solve_nonconvergence_exit():
     # inside the collar where the root collides with the branch point:
     # honest failure, not a silent wrong answer
