@@ -10,17 +10,16 @@ L(z) = log f(z) is the contour integral of A sigma(zeta) / ((zeta - c)
 that branch is single-valued on the closed upper half-plane (approaching
 the real axis from above) with cuts only on (-k,-1) and (1,k), so no
 continuation bookkeeping is needed: real points are evaluated with a
-+0.0 imaginary part.  Real targets are reached along the axis, with
-semicircular arcs over the poles; complex targets by a lifted polyline.
-L at the stops of the axis walk and on the polyline's first leg depends
-on the solution alone, so it is computed once and cached (_anchors).
++0.0 imaginary part.  Real targets are reached by marching along the
+axis with semicircular arcs over the poles; complex targets by a lifted
+polyline.  Where an axis segment comes close to a pole, the pole's part
+R/(z - p) is integrated in closed form and only the rest by quadrature.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +40,10 @@ __all__ = [
 ARC_FACTOR = 0.02  # arc radius = 0.02 * smallest gap between real singular points
 
 
-def _integrand_from(k: float, c: float, A: float, e: float, s: float):
-    """L-integrand at z = e + s*delta as a function of the displacement.
+def _integrand_from(k: float, c: float, A: float, e: float, s: float,
+                    residues: tuple[complex, complex] = (0.0, 0.0)):
+    """L-integrand at z = e + s*delta as a function of the displacement,
+    less the pole parts residues[0]/(z - c) + residues[1]/(z + k/c).
 
     delta is real (>= 0) along a segment, or complex with a positive
     imaginary part along a detour arc around e.  Every factor is an
@@ -53,19 +54,36 @@ def _integrand_from(k: float, c: float, A: float, e: float, s: float):
     # offsets from e of the branch points, ordered for sigma below
     offsets = np.array([e + 1.0, e - k, e - 1.0, e + k])
     o_c, o_d = e - c, e + k / c
+    r_c, r_d = residues
+    # the pole parts over the integrand's denominator (z - c)(z + k/c)
+    lin0, lin1 = r_c * o_d + r_d * o_c, r_c + r_d
 
     def f(delta):
         sd = s * np.asarray(delta)
         r = np.sqrt(np.asarray(np.add.outer(offsets, sd), dtype=complex))
-        return A * (r[0] * r[1] / (r[2] * r[3])) / ((o_c + sd) * (o_d + sd))
+        num = A * (r[0] * r[1] / (r[2] * r[3]))
+        if r_c or r_d:
+            num = num - (lin0 + lin1 * sd)
+        return num / ((o_c + sd) * (o_d + sd))
 
     return f
+
+
+def _residue(k: float, c: float, A: float, p: float, q: float) -> complex:
+    """Residue of the L-integrand at its pole p, q the other pole, with
+    sigma taken from above as on the rest of the axis."""
+    r = [cmath.sqrt(p + o) for o in (1.0, -k, -1.0, k)]
+    return A * (r[0] * r[1] / (r[2] * r[3])) / (p - q)
 
 
 def _real_segment(k: float, c: float, A: float, x0: float, x1: float,
                   tol: float, sqrt_start: bool = False,
                   sqrt_end: bool = False) -> complex:
-    """L-integrand integral over the real segment [x0, x1].
+    """L-integrand integral over the real segment [x0, x1], clear of poles.
+
+    A pole closer than a quarter of the segment's length would crowd the
+    panels at the end next to it, so its part R/(x - p) is taken out and
+    added back in closed form, R log((x1 - p)/(x0 - p)).
 
     Two halves, each parametrized by the displacement from its own
     endpoint (squared for an inverse-square-root end).  Displacements
@@ -78,13 +96,17 @@ def _real_segment(k: float, c: float, A: float, x0: float, x1: float,
         return 0.0 + 0.0j
     s = 1.0 if x1 > x0 else -1.0
     hh = 0.5 * abs(x1 - x0)
+    poles = (c, -k / c)
+    res = [_residue(k, c, A, p, q) if min(abs(x0 - p), abs(x1 - p)) < 0.5 * hh
+           else 0.0 for p, q in (poles, poles[::-1])]
     pieces = []
     for e, direction, flag in ((x0, s, sqrt_start), (x1, -s, sqrt_end)):
-        g = _integrand_from(k, c, A, e, direction)
+        g = _integrand_from(k, c, A, e, direction, res)
         pieces.append(_from_end(g, hh) if flag
                       else (lambda u, g=g: hh * g(hh * u), 0.0, 1.0))
     val, _ = _run_pieces(pieces, tol, DEFAULT_BUDGET)
-    return complex(val) * s
+    return complex(val) * s + sum(r * math.log((x1 - p) / (x0 - p))
+                                  for r, p in zip(res, poles) if r)
 
 
 def _singular_points(k: float, c: float) -> tuple[list[float], list[float]]:
@@ -106,57 +128,43 @@ def _orbit_reduce(raw: float) -> float:
     return min(frac, 1.0 - frac)
 
 
-@lru_cache(maxsize=16)  # per (k, c, A, tol), like the solvers
-def _anchors(k: float, c: float, A: float, tol: float) -> tuple:
-    """(stops, values, leg): L on the parts of the default routes that
-    depend on the solution alone, computed by quadrature on first use.
-
-    stops is the leftward axis walk from k as (x, pole) pairs: k and the
-    branch points left of it (pole None), and the end x = pole - r0 of the
-    upper semicircle over each pole.  values holds L at the stops reached
-    so far; leg, once filled, holds L(k + i/2), the polyline's first leg.
-    """
-    r0, poles = ARC_FACTOR * _min_gap(k, c), _singular_points(k, c)[1]
-    stops = [(x - r0, x) if x in poles else (x, None)
-             for x in sorted([-k, -1.0, 1.0, k, *poles], reverse=True) if x <= k]
-    return stops, [0.0 + 0.0j], []
-
-
 def _march(k: float, c: float, A: float, targets: list[float],
            tol: float) -> dict[float, complex]:
-    """L at real targets, each one segment from a stop of the cached walk.
+    """L at real targets, marching from the base point k along the axis.
 
-    A target starts from the last stop the walk reaches before passing
-    it (k when it lies right of k), or from a pole's arc end when it lies
-    between that end and the pole, so no segment crosses a pole.  Targets sharing a start
-    and a direction are chained; the walk grows only to the farthest
-    start.  Segments take the square-root substitution at branch points.
+    One walk per direction stops, in order of distance from k, at the
+    targets on its side and at every branch point and pole between k and
+    its farthest target.  Segments take the square-root substitution on
+    an end at a branch point; poles, all left of k, are passed on upper
+    semicircles whose radii shrink if a target sits close by.
     """
-    stops, values, _ = _anchors(k, c, A, tol)
-    branch, r0 = (-k, -1.0, 1.0, k), ARC_FACTOR * _min_gap(k, c)
-    chains: dict[tuple[int, bool], list[float]] = {}
-    for t in targets:
-        i = max((j for j, (x, pole) in enumerate(stops)
-                  if t <= x or pole is not None and t < pole), default=0)
-        chains.setdefault((i, t > stops[i][0]), []).append(t)
-    out = {}
-    for (i, rightward), side in chains.items():
-        for n in range(len(values), i + 1):
-            cur, (x, pole) = stops[n - 1][0], stops[n]
-            val = values[n - 1] + _real_segment(
-                k, c, A, cur, x if pole is None else pole + r0, tol,
-                sqrt_start=cur in branch, sqrt_end=pole is None)
-            if pole is not None:
+    branch, poles = _singular_points(k, c)
+    r0 = ARC_FACTOR * _min_gap(k, c)
+    out = {k: 0.0 + 0.0j} if k in targets else {}
+    for s in (1.0, -1.0):  # s * x grows with the distance from k on side s
+        side = {t for t in targets if s * t > s * k}
+        if not side:
+            continue
+        reach = max(s * t for t in side)
+        stops = side | {x for x in branch + poles if s * k < s * x <= reach}
+        cur, val = k, 0.0 + 0.0j
+        for pos in sorted(stops, key=lambda x: s * x):
+            if pos in poles:
+                r = min(r0, 0.5 * min(abs(t - pos) for t in targets))
+                val += _real_segment(k, c, A, cur, pos + r, tol,
+                                     sqrt_start=cur in branch)
                 # leftward travel: upper semicircle from angle 0 to pi,
                 # integrated in the displacement from the pole
-                val += integrate_arc(_integrand_from(k, c, A, pole, 1.0),
-                                     0.0, r0, 0.0, math.pi, tol)
-            values[n:n + 1] = [val]  # a racing thread stores the same value
-        cur, val = stops[i][0], values[i]
-        for t in sorted(side, reverse=not rightward):
-            val += _real_segment(k, c, A, cur, t, tol, sqrt_start=cur in branch,
-                                 sqrt_end=t in branch)
-            cur, out[t] = t, val
+                val += integrate_arc(_integrand_from(k, c, A, pos, 1.0),
+                                     0.0, r, 0.0, math.pi, tol)
+                cur = pos - r
+            else:
+                val += _real_segment(k, c, A, cur, pos, tol,
+                                     sqrt_start=cur in branch,
+                                     sqrt_end=pos in branch)
+                cur = pos
+                if pos in side:
+                    out[pos] = val
     return out
 
 
@@ -176,12 +184,6 @@ def _polyline_eval(k: float, c: float, A: float, z: complex, tol: float,
                                   "the closed upper half-plane")
     verts = [complex(v.real, 0.0) if v.imag == 0.0 else v for v in verts]
     total = 0.0 + 0.0j
-    if waypoints is None and h == 0.5:  # k -> k + i/2 is cached
-        leg = _anchors(k, c, A, tol)[2]
-        if not leg:
-            leg.append(integrate_segment(f, verts[0], verts[1], tol,
-                                         sqrt_start=True))
-        total, verts = leg[0], verts[1:]
     for z0, z1 in zip(verts, verts[1:]):
         if z0 == z1:
             continue
@@ -198,9 +200,8 @@ def L_eval(sol: AccessorySolution, z: complex, tol: float = 1e-10,
 
     Branch points are admissible targets (the integral stays finite and
     the endpoint substitution handles them); the poles c and -k/c are
-    not.  z = k returns exactly 0 (empty path).  A real z is one segment
-    from a cached stop of the axis walk (_march).  Optional waypoints
-    override the default route, uncached, for path-independence tests.
+    not.  z = k returns exactly 0 (empty path).  Optional waypoints
+    override the default route for path-independence experiments.
     """
     k, c, A = sol.param.k, sol.c, sol.A
     z = complex(z)

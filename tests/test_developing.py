@@ -1,15 +1,14 @@
 """Developing-map logarithm: values, residues, paths, boundary images."""
 import cmath
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sphrect import (L_eval, boundary_check, critical_constants, developing,
-                     extract_alpha, solve_family1, solve_family2)
-from sphrect.developing import _integrand_from, _march, _orbit_reduce
+                     extract_alpha, quadrature, solve_family1, solve_family2)
+from sphrect.developing import (_integrand_from, _march, _orbit_reduce,
+                                _residue)
 from sphrect.errors import DomainError
 
 
@@ -83,6 +82,37 @@ def test_pole_residues(sol_k2):
 
 def test_pole_residues_family2(sol2_k3):
     assert _residue_limits(sol2_k3) == pytest.approx([1.0j, -1.0j], abs=1e-8)
+
+
+@pytest.mark.parametrize("family, k", [(1, 1.2), (1, 2.0), (1, 2.4),
+                                       (2, 2.44), (2, 3.0), (2, 10.0)])
+def test_closed_form_residues(family, k):
+    # the pole parts that _real_segment integrates in closed form
+    sol = (solve_family1 if family == 1 else solve_family2)(k)
+    c, d = sol.c, -k / sol.c
+    want = [1.0, -1.0] if family == 1 else [1.0j, -1.0j]
+    got = [_residue(k, c, sol.A, c, d), _residue(k, c, sol.A, d, c)]
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_segment_into_an_arc_is_not_crowded(monkeypatch):
+    # the walk's segment from 1 to the arc over c: with the pole parts in
+    # closed form the engine sees no 1/(x - c), and 14 panels become 2
+    sol = solve_family1(2.0)
+    k, c = 2.0, sol.c
+    end = c + developing.ARC_FACTOR * developing._min_gap(k, c)
+    panels = []
+    panel = quadrature._panel
+    monkeypatch.setattr(quadrature, "_panel",
+                        lambda *a: panels.append(a) or panel(*a))
+    got = developing._real_segment(k, c, sol.A, 1.0, end, 1e-10,
+                                   sqrt_start=True)
+    assert len(panels) <= 4
+    monkeypatch.undo()
+    high = [complex(k, 3.0)]
+    ref = (L_eval(sol, end, waypoints=high + [complex(end, 3.0)])
+           - L_eval(sol, 1.0, waypoints=high + [complex(1.0, 3.0)]))
+    assert abs(got - ref) <= 1e-9
 
 
 def test_eval_domain(sol_k2):
@@ -192,18 +222,22 @@ def test_eval_rejects_non_finite_waypoint(sol_k2):
 
 @pytest.mark.parametrize("family, k", [(1, 2.0), (1, 1.2), (2, 3.0), (2, 2.44)])
 def test_march_mixed_targets(family, k):
-    # one march over targets on both sides of k, on branch points, and
-    # between each pole and its neighbouring branch points, against the
-    # polyline route through the upper half-plane
+    # one march over targets on both sides of k, on branch points,
+    # between each pole and its neighbouring branch points, and inside and
+    # just outside each pole's arc (radius r0; a target within r0 shrinks
+    # the arc), against the polyline route through the upper half-plane
     sol = (solve_family1 if family == 1 else solve_family2)(k)
     c, d = sol.c, -k / sol.c
+    r0 = developing.ARC_FACTOR * developing._min_gap(k, c)
     branch = [-k, -1.0, 1.0, k]
     mids = [0.5 * (p + b) for p in (c, d)
             for b in (max([b for b in branch if b < p], default=None),
                       min([b for b in branch if b > p], default=None))
             if b is not None]
     targets = [k, k + 0.5, 3.0 * k, min(-k, d) - 0.5, -4.0 * k,
-               1.0, -1.0, -k, 0.0, *mids]
+               1.0, -1.0, -k, 0.0, *mids,
+               *(p + sgn * f * r0 for p in (c, d) for sgn in (1.0, -1.0)
+                 for f in (1e-3, 0.5, 1.5, 3.0))]
     got = _march(k, c, sol.A, targets, 1e-10)
     assert got[k] == 0.0
     for x in targets:
@@ -211,56 +245,6 @@ def test_march_mixed_targets(family, k):
             continue
         ref = L_eval(sol, x, waypoints=[complex(k, 3.0), complex(x, 3.0)])
         assert abs(got[x] - ref) <= 1e-9, x
-
-
-def _real_targets(sol):
-    """Real targets on every side, clear of the poles by at least 0.25 of
-    the smallest gap, and the branch points left of k."""
-    k, c = sol.k, sol.c
-    pts = sorted([-k, -1.0, 1.0, k, c, -k / c])
-    xs = [a + (b - a) * f for a, b in zip(pts, pts[1:]) for f in (0.25, 0.75)]
-    return xs + [-1.0, 1.0, -k, k + 0.7, 3.0 * k, pts[0] - 0.5]
-
-
-@pytest.mark.parametrize("family, k", [(1, 2.0), (2, 3.0)])
-def test_cache_state_does_not_change_values(family, k):
-    sol = (solve_family1 if family == 1 else solve_family2)(k)
-    xs = _real_targets(sol)
-    cold = []
-    for x in xs:
-        developing._anchors.cache_clear()
-        cold.append(L_eval(sol, x))
-    developing._anchors.cache_clear()
-    assert [L_eval(sol, x) for x in reversed(xs)] == cold[::-1]
-    assert [L_eval(sol, x) for x in xs] == cold
-    developing._anchors.cache_clear()
-    rep = boundary_check(sol, samples_per_side=12, keep_samples=True)
-    assert boundary_check(sol, samples_per_side=12, keep_samples=True) == rep
-    developing._anchors.cache_clear()
-    L_eval(sol, xs[0])  # a walk grown to its far end first
-    assert boundary_check(sol, samples_per_side=12, keep_samples=True) == rep
-
-
-def test_threads_filling_one_walk_agree():
-    # threads that extend the same cached walk at once store identical
-    # values, so neither their results nor the cache depend on the race
-    sol = solve_family2(3.0)
-    xs = [-12.0, -1.5, 0.5, -2.5] * 2
-    developing._anchors.cache_clear()
-    ref = [L_eval(sol, x) for x in xs]
-    filled = [list(part) for part in developing._anchors(3.0, sol.c, sol.A, 1e-10)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            developing._anchors.cache_clear()
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(L_eval, sol, x) for x in xs]
-                assert [f.result(timeout=30) for f in futures] == ref
-            assert [list(part) for part in
-                    developing._anchors(3.0, sol.c, sol.A, 1e-10)][:2] == filled[:2]
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_walk_stops_at_the_farthest_target(monkeypatch):
@@ -272,19 +256,5 @@ def test_walk_stops_at_the_farthest_target(monkeypatch):
     monkeypatch.setattr(developing, "_real_segment",
                         lambda k, c, A, x0, x1, *a, **kw:
                         seen.append((x0, x1)) or segment(k, c, A, x0, x1, *a, **kw))
-    developing._anchors.cache_clear()
     L_eval(sol, 1.0)
     assert seen and min(min(pair) for pair in seen) == 1.0
-
-
-@pytest.mark.parametrize("family, k", [(1, 2.0), (1, 1.2), (2, 3.0), (2, 2.44)])
-def test_targets_inside_the_arc_zones(family, k):
-    # a target between a pole and the end of its arc (radius r0) starts
-    # from the arc end, any other from the last stop before it; no
-    # segment may cross the pole
-    sol = (solve_family1 if family == 1 else solve_family2)(k)
-    r0 = developing.ARC_FACTOR * developing._min_gap(k, sol.c)
-    for pole in (sol.c, -k / sol.c):
-        for x in (pole + s * f * r0 for s in (1.0, -1.0) for f in (0.5, 1.5, 3.0)):
-            ref = L_eval(sol, x, waypoints=[complex(k, 3.0), complex(x, 3.0)])
-            assert abs(L_eval(sol, x) - ref) <= 1e-9, x
