@@ -6,14 +6,14 @@ F(k, c) = 0, a regularized principal-value condition; past the critical
 value c lies in (1, k) and is fixed by a definite integral equalling
 -pi.  Both conditions have a single sign change in c, and both
 families go through one pipeline that differs only in a table of
-per-family parts.  A probe scan brackets the sign change, bisection on
-loose evaluations narrows the bracket to width 1e-4, and Brent's method
-on tight evaluations finishes the root.  Each (c, tol) value of the
-condition is evaluated once per solve and shared by the scan, the
-bisection, Brent's method and the residual gate.  Given a nearby root
-(the previous point of a sweep), the scan starts there and evaluates
-only the probes it walks past; it returns the same bracket as the full
-scan whenever that scan succeeds, so the root comes out bit-identical.
+per-family parts.  A probe scan brackets the sign change and Brent's
+method finishes the root from that bracket, both on the condition at
+the one quadrature tolerance 1e-10.  Each value of the condition is
+evaluated once per solve and shared by the scan, Brent's method and the
+residual gate.  Given a nearby root (the previous point of a sweep), the
+scan starts there and evaluates only the probes it walks past; it
+returns the same bracket as the full scan whenever that scan succeeds,
+so the root comes out bit-identical.
 """
 from __future__ import annotations
 
@@ -233,7 +233,7 @@ def family2_integral(k: float, c: float, tol: float = 1e-10) -> float:
 
 # probe grid covering both endpoint approaches of (0, 1)
 _F1_SCAN = sorted(set(
-    [10.0 ** -e for e in range(7, 1, -1)]
+    [10.0 ** -e for e in range(8, 1, -1)]
     + [i / 20.0 for i in range(1, 20)]
     + [1.0 - 10.0 ** -e for e in range(2, 8)]
 ))
@@ -281,35 +281,6 @@ def _scan_bracket(fun, grid, what: str, near: float | None = None
     return changes[0]
 
 
-def _bisect(fun_loose, fun_tight, lo: float, hi: float, ctol: float,
-            lo_min: float, hi_max: float) -> float:
-    """Bisection on cheap evaluations down to width 1e-4, then Brent's
-    method on tight evaluations down to ctol.  The bracket is re-verified
-    at the switch; any widening stays inside [lo_min, hi_max]."""
-    f_lo = fun_loose(lo)
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        fm = fun_loose(mid)
-        if fm == 0.0 or (f_lo > 0.0) == (fm > 0.0):
-            lo, f_lo = mid, fm
-        else:
-            hi = mid
-    f_lo = fun_tight(lo)
-    f_hi = fun_tight(hi)
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        # loose quadrature noise misplaced an edge; widen step by step
-        span = max(hi - lo, ctol)
-        for _ in range(60):
-            lo = max(lo - span, lo_min)
-            hi = min(hi + span, hi_max)
-            f_lo, f_hi = fun_tight(lo), fun_tight(hi)
-            if (f_lo > 0.0) != (f_hi > 0.0):
-                break
-        else:
-            raise BracketError("bracket lost after tightening quadrature")
-    return _brent(fun_tight, lo, hi, f_lo, f_hi, ctol)
-
-
 def _family2_grid(k: float) -> list[float]:
     span = k - 1.0
     offsets = np.geomspace(1e-6, 0.45 * span, 22)
@@ -317,31 +288,29 @@ def _family2_grid(k: float) -> list[float]:
     return sorted(set(float(p) for p in pts))
 
 
-# per family: the condition (zero at the root), the probe grid, the loose
-# tolerance of scan and bisection, the limits of any widening, and the
+# per family: the condition (zero at the root), the probe grid and the
 # condition's name in errors; the conditions look bigF and
 # family2_integral up at call time
 _PLANS = {
-    Family.FIRST: (lambda k, c, tol: bigF(k, c, tol), lambda k: _F1_SCAN, 1e-6,
-                   lambda k: (1e-8, 1.0 - 1e-8), "F(k={k}, .) on (0,1)"),
+    Family.FIRST: (lambda k, c, tol: bigF(k, c, tol), lambda k: _F1_SCAN,
+                   "F(k={k}, .) on (0,1)"),
     Family.SECOND: (lambda k, c, tol: family2_integral(k, c, tol) + math.pi,
-                    _family2_grid, 1e-9, lambda k: (1.0 + 1e-9, k - 1e-9),
-                    "family-2 condition at k={k}"),
+                    _family2_grid, "family-2 condition at k={k}"),
 }
 
 
 def _solve(family: Family, k: float, tol: float,
            near: float | None) -> AccessorySolution:
-    """Scan, bisect and polish the root of one family's condition, gate
-    the residual and derive the solution."""
+    """Bracket the root of one family's condition by the probe scan,
+    finish it by Brent's method, gate the residual and derive the
+    solution."""
     param = QuadParam(k=float(k), family=family)
     k = param.k
-    fun, grid, loose_tol, clamps, what = _PLANS[family]
-    cond = lru_cache(maxsize=None)(partial(fun, k))  # no (c, tol) twice per solve
-    loose, tight = partial(cond, tol=loose_tol), partial(cond, tol=1e-10)
-    lo, hi = _scan_bracket(loose, grid(k), what.format(k=k), near)
-    c = _bisect(loose, tight, lo, hi, tol, *clamps(k))
-    residual = tight(c)
+    fun, grid, what = _PLANS[family]
+    cond = lru_cache(maxsize=None)(partial(fun, k, tol=1e-10))  # no c twice per solve
+    lo, hi = _scan_bracket(cond, grid(k), what.format(k=k), near)
+    c = _brent(cond, lo, hi, cond(lo), cond(hi), tol)
+    residual = cond(c)
     if abs(residual) > RESIDUAL_TOL:
         raise AccuracyError(f"{family.value}-family residual {residual} exceeds "
                             f"{RESIDUAL_TOL}", best=c, err_est=abs(residual))
@@ -363,7 +332,7 @@ def solve_family1(k: float, tol: float = C_TOL, *,
     probe scan there (see _scan_bracket): whenever the plain solve
     succeeds, the solution is bit-identical to it, with fewer
     evaluations.  The scan then no longer rules out a second root, but
-    the tight re-check of the bracket and the residual gate still apply.
+    the residual gate still applies.
     """
     return _solve(Family.FIRST, k, tol, near)
 

@@ -49,8 +49,8 @@ def _k_minus_2e(x: float) -> float:
 def kappa_prime_crit(tol: float = 1e-12) -> float:
     """Unique root of K(x) - 2E(x) on (0, 1), by Brent's method.
 
-    K - 2E is strictly increasing (K' > 0, E' < 0), negative at 0.5 and
-    positive at 0.99, so the bracket below always contains the root.
+    K - 2E is strictly increasing (K' > 0, E' < 0), negative at 0.1 and
+    positive at 0.999, so the bracket [0.1, 0.999] contains the root.
     """
     lo, hi = 0.1, 0.999
     f_lo, f_hi = _k_minus_2e(lo), _k_minus_2e(hi)

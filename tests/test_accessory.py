@@ -279,8 +279,10 @@ def test_solver_caches():
     (solve_family1, 1.2), (solve_family1, 2.0), (solve_family1, 2.4),
     (solve_family2, 2.5), (solve_family2, 3.0), (solve_family2, 40.0)])
 def test_solve_evaluates_each_condition_value_once(solve, k, monkeypatch):
-    # the scan, the bisection, Brent's method and the residual gate share
-    # one solve's evaluations; each (k, c, tol) reaches a functional once
+    # the scan, Brent's method and the residual gate share one solve's
+    # evaluations; each (k, c, tol) reaches a functional once, and the
+    # scan's 32 or 44 probes leave Brent about ten
+    ceiling = 42 if solve is solve_family1 else 54
     calls = []
     for name in ("bigF", "family2_integral"):
         fun = getattr(accessory, name)
@@ -288,3 +290,4 @@ def test_solve_evaluates_each_condition_value_once(solve, k, monkeypatch):
                             lambda *a, _f=fun: calls.append(a) or _f(*a))
     solve.__wrapped__(k)  # past the lru_cache
     assert calls and len(calls) == len(set(calls))
+    assert len(calls) <= ceiling

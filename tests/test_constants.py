@@ -42,9 +42,9 @@ def test_frozen_values(consts):
 def test_root_finder():
     kp = kappa_prime_crit(tol=1e-13)
     assert ellip_K(kp) - 2.0 * ellip_E(kp) == pytest.approx(0.0, abs=1e-10)
-    # bracket signs that justify the bisection interval
-    assert ellip_K(0.5) - 2.0 * ellip_E(0.5) < 0.0
-    assert ellip_K(0.99) - 2.0 * ellip_E(0.99) > 0.0
+    # signs at the ends of kappa_prime_crit's bracket [0.1, 0.999]
+    assert ellip_K(0.1) - 2.0 * ellip_E(0.1) < 0.0
+    assert ellip_K(0.999) - 2.0 * ellip_E(0.999) > 0.0
 
 
 def test_modulus_consistency(consts):
@@ -55,4 +55,12 @@ def test_first_family_bracket_fails_past_critical(consts):
     # the root leaves (0,1) above k_crit: the probe grid sees no sign change
     k = consts.k_crit + 0.01
     with pytest.raises(BracketError):
-        _scan_bracket(lambda c: bigF(k, c, 1e-6), _F1_SCAN, "probe")
+        _scan_bracket(lambda c: bigF(k, c, 1e-10), _F1_SCAN, "probe")
+
+
+def test_first_family_scan_brackets_root_next_to_one():
+    # at k = 1 + 1e-8 the root is c ~ 5.1e-8; at the solver's tolerance
+    # F is negative at the probe 1e-7 and the probe 1e-8 lies below the root
+    k = 1.0 + 1e-8
+    bracket = _scan_bracket(lambda c: bigF(k, c, 1e-10), _F1_SCAN, "probe")
+    assert bracket == (1e-8, 1e-7)
