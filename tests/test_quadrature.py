@@ -66,6 +66,17 @@ def test_budget_exhaustion_carries_best():
     assert err.err_est is not None and err.err_est > 1e-16
 
 
+def test_pieces_share_one_budget():
+    # the first piece spends the whole budget; the second still gets its
+    # first panel, which integrates 1 exactly, and both enter the best total
+    first = (lambda x: np.cos(500.0 * x), -1.0, 1.0)
+    with pytest.raises(AccuracyError) as alone:
+        _run_pieces([first], 1e-16, 9)
+    with pytest.raises(AccuracyError) as both:
+        _run_pieces([first, (lambda x: np.ones_like(x), 0.0, 1.0)], 1e-16, 9)
+    assert both.value.best == alone.value.best + 1.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_integral_raises(bad):
     # a NaN total or error estimate used to pass `err > tol` as converged;
