@@ -25,8 +25,8 @@ import numpy as np
 
 from .accessory import AccessorySolution, _w_integral
 from .errors import DomainError
-from .quadrature import (DEFAULT_BUDGET, _from_end, _run_pieces,
-                         integrate_arc, integrate_segment)
+from .quadrature import (_from_end, _run_pieces, integrate_arc,
+                         integrate_segment)
 
 __all__ = [
     "SideImage",
@@ -104,7 +104,7 @@ def _real_segment(k: float, c: float, A: float, x0: float, x1: float,
         g = _integrand_from(k, c, A, e, direction, res)
         pieces.append(_from_end(g, hh) if flag
                       else (lambda u, g=g: hh * g(hh * u), 0.0, 1.0))
-    val, _ = _run_pieces(pieces, tol, DEFAULT_BUDGET)
+    val, _ = _run_pieces(pieces, tol)
     return complex(val) * s + sum(r * math.log((x1 - p) / (x0 - p))
                                   for r, p in zip(res, poles) if r)
 

@@ -1,8 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature with endpoint substitutions.
 
-The engine is a global-adaptive G7/K15 scheme: the panel with the worst
-error estimate is split until the summed estimate meets the tolerance or
-the panel budget runs out.  Integrable endpoint singularities are removed
+The engine is one adaptive G7/K15 loop over the pieces of an integral:
+each piece splits its worst panel first until its estimate meets its even
+share of the tolerance, and all pieces draw on one fixed budget of
+DEFAULT_BUDGET panels.  Integrable endpoint singularities are removed
 analytically by the substitution x = a + (b - a) u^2 (and its mirror), so
 the engine itself only ever sees smooth integrands.  Integrands take a
 numpy array of nodes and return the array of values.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -83,85 +85,53 @@ def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
     return complex(resk), err
 
 
-class _Budget:
-    """Shared panel counter across the pieces of one integral."""
+def _run_pieces(pieces: Sequence[tuple[Callable, float, float]],
+                tol: float) -> tuple[complex, float]:
+    """Integrate a list of (f, a, b) pieces; (total, error estimate).
 
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def take(self, n: int = 1) -> bool:
-        if self.used + n > self.limit:
-            return False
-        self.used += n
-        return True
-
-
-def _adaptive(f: Callable, a: float, b: float, tol: float,
-              budget: _Budget) -> tuple[complex, float]:
-    """Globally adaptive integration of f over the real interval [a, b].
-
-    Returns (value, error_estimate); raises AccuracyError (carrying the
-    best estimate) if the budget is exhausted first.
+    Each piece in turn splits its worst panel first until its estimate
+    meets its even share tol / len(pieces); all pieces draw on one count
+    of DEFAULT_BUDGET panels.  A piece that runs out of budget or stalls
+    at machine resolution keeps its best value in the total, and the
+    last such failure is raised with that total; a non-finite total or
+    error estimate fails the same way.
     """
-    budget.take()
-    val, err = _panel(f, a, b)
-    # heap of splittable panels, worst error first
-    seq = 0
-    heap = [(-err, seq, a, b, val, err)]
-    total, total_err = val, err
-    frozen_err = 0.0
-    while total_err > tol and heap:
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        width = pb - pa
-        if width <= 64.0 * math.ulp(max(abs(pa), abs(pb), 1.0)):
-            frozen_err += perr  # cannot split further at this precision
-            continue
-        if not budget.take(2):
-            raise AccuracyError(
-                f"quadrature budget exhausted (err ~ {total_err:.3e}, tol {tol:.3e})",
-                best=total, err_est=total_err)
-        pm = 0.5 * (pa + pb)
-        v1, e1 = _panel(f, pa, pm)
-        v2, e2 = _panel(f, pm, pb)
-        total += (v1 + v2) - pval
-        total_err += (e1 + e2) - perr
-        for item in ((pa, pm, v1, e1), (pm, pb, v2, e2)):
-            seq += 1
-            heapq.heappush(heap, (-item[3], seq, *item))
-    if total_err > tol and not heap:
-        raise AccuracyError(
-            f"quadrature stalled at machine resolution (err ~ {frozen_err:.3e})",
-            best=total, err_est=total_err)
-    return total, total_err
-
-
-def _run_pieces(pieces: Sequence[tuple[Callable, float, float]], tol: float,
-                budget_limit: int) -> tuple[complex, float]:
-    """Integrate a list of (f, a, b) pieces under one budget.
-
-    Tolerance is split evenly.  If a piece fails, its best estimate still
-    enters the total and the failure is re-raised with the combined sum;
-    a non-finite total or error estimate fails the same way.
-    """
-    budget = _Budget(budget_limit)
     per_tol = tol / len(pieces)
-    total = 0.0 + 0.0j
-    total_err = 0.0
+    used = 0
+    tick = itertools.count()
+    total, total_err = 0.0 + 0.0j, 0.0
     failed = None
     for f, a, b in pieces:
-        try:
-            val, err = _adaptive(f, a, b, per_tol, budget)
-        except AccuracyError as exc:
-            val = exc.best if exc.best is not None else 0.0
-            err = exc.err_est if exc.err_est is not None else math.inf
-            failed = exc
+        val, err = _panel(f, a, b)
+        used += 1
+        heap = [(-err, next(tick), a, b, val, err)]  # splittable panels, worst first
+        frozen_err = 0.0
+        while err > per_tol and heap:
+            _, _, pa, pb, pval, perr = heapq.heappop(heap)
+            if pb - pa <= 64.0 * math.ulp(max(abs(pa), abs(pb), 1.0)):
+                frozen_err += perr  # cannot split further at this precision
+                continue
+            if used + 2 > DEFAULT_BUDGET:
+                failed = (f"quadrature budget exhausted (err ~ {err:.3e}, "
+                          f"tol {per_tol:.3e})")
+                break
+            used += 2
+            pm = 0.5 * (pa + pb)
+            v1, e1 = _panel(f, pa, pm)
+            v2, e2 = _panel(f, pm, pb)
+            val += (v1 + v2) - pval
+            err += (e1 + e2) - perr
+            heapq.heappush(heap, (-e1, next(tick), pa, pm, v1, e1))
+            heapq.heappush(heap, (-e2, next(tick), pm, pb, v2, e2))
+        else:
+            if err > per_tol:
+                failed = f"quadrature stalled at machine resolution (err ~ {frozen_err:.3e})"
         total += val
         total_err += err
     if failed is None and not (cmath.isfinite(total) and math.isfinite(total_err)):
         failed = f"non-finite integral {total} (err ~ {total_err:.3e})"
     if failed is not None:
-        raise AccuracyError(str(failed), best=total, err_est=total_err)
+        raise AccuracyError(failed, best=total, err_est=total_err)
     return total, total_err
 
 
@@ -178,8 +148,7 @@ def _from_end(g: Callable, h: float, p: float = 0.0) -> tuple[Callable, float, f
 
 def integrate_singular(f: Callable, a: float, b: float,
                        exponents: tuple[float, float],
-                       tol: float = DEFAULT_TOL,
-                       budget: int = DEFAULT_BUDGET) -> tuple[float, float]:
+                       tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Integral of f(x) (x-a)^p (b-x)^q over (a, b) for smooth f.
 
     exponents = (p, q), both > -1.  Each half is folded through
@@ -194,14 +163,13 @@ def integrate_singular(f: Callable, a: float, b: float,
     mid = 0.5 * (a + b)
     left = _from_end(lambda d: f(a + d) * (b - (a + d)) ** q, mid - a, p)
     right = _from_end(lambda d: f(b - d) * ((b - d) - a) ** p, b - mid, q)
-    val, err = _run_pieces([left, right], tol, budget)
+    val, err = _run_pieces([left, right], tol)
     return (val.real if val.imag == 0.0 else val), err
 
 
 def integrate_segment(f: Callable, z0: complex, z1: complex,
                       tol: float = DEFAULT_TOL,
-                      sqrt_start: bool = False, sqrt_end: bool = False,
-                      budget: int = DEFAULT_BUDGET) -> complex:
+                      sqrt_start: bool = False, sqrt_end: bool = False) -> complex:
     """Line integral of f along the straight segment from z0 to z1.
 
     sqrt_start / sqrt_end apply the u^2 endpoint substitution, for
@@ -218,14 +186,13 @@ def integrate_segment(f: Callable, z0: complex, z1: complex,
 
     pieces = [_from_end(fv, 0.5) if sqrt_start else (fv, 0.0, 0.5),
               _from_end(lambda d: fv(1.0 - d), 0.5) if sqrt_end else (fv, 0.5, 1.0)]
-    val, _ = _run_pieces(pieces, tol, budget)
+    val, _ = _run_pieces(pieces, tol)
     return complex(val)
 
 
 def integrate_arc(f: Callable, center: complex, radius: float,
                   theta0: float, theta1: float,
-                  tol: float = DEFAULT_TOL,
-                  budget: int = DEFAULT_BUDGET) -> complex:
+                  tol: float = DEFAULT_TOL) -> complex:
     """Integral of f along the circular arc center + radius e^{i theta}."""
     if radius <= 0.0:
         raise DomainError(f"arc radius must be positive, got {radius!r}")
@@ -235,5 +202,5 @@ def integrate_arc(f: Callable, center: complex, radius: float,
         z = center + radius * np.exp(1j * theta)
         return f(z) * 1j * radius * np.exp(1j * theta)
 
-    val, _ = _run_pieces([(g, theta0, theta1)], tol, budget)
+    val, _ = _run_pieces([(g, theta0, theta1)], tol)
     return complex(val)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sphrect import quadrature
 from sphrect.errors import AccuracyError, DomainError
 from sphrect.quadrature import (_run_pieces, integrate_arc, integrate_segment,
                                 integrate_singular)
@@ -56,24 +57,26 @@ def test_additivity_interior_split():
     assert left + right == pytest.approx(whole, abs=2e-10)
 
 
-def test_budget_exhaustion_carries_best():
+def test_budget_exhaustion_carries_best(monkeypatch):
     # highly oscillatory at an impossible tolerance and a tiny budget
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 8)
     with pytest.raises(AccuracyError) as exc_info:
         integrate_singular(lambda x: np.cos(500.0 * x), -1.0, 1.0,
-                           (-0.5, -0.5), tol=1e-16, budget=8)
+                           (-0.5, -0.5), tol=1e-16)
     err = exc_info.value
     assert err.best is not None
     assert err.err_est is not None and err.err_est > 1e-16
 
 
-def test_pieces_share_one_budget():
+def test_pieces_share_one_budget(monkeypatch):
     # the first piece spends the whole budget; the second still gets its
     # first panel, which integrates 1 exactly, and both enter the best total
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 9)
     first = (lambda x: np.cos(500.0 * x), -1.0, 1.0)
     with pytest.raises(AccuracyError) as alone:
-        _run_pieces([first], 1e-16, 9)
+        _run_pieces([first], 1e-16)
     with pytest.raises(AccuracyError) as both:
-        _run_pieces([first, (lambda x: np.ones_like(x), 0.0, 1.0)], 1e-16, 9)
+        _run_pieces([first, (lambda x: np.ones_like(x), 0.0, 1.0)], 1e-16)
     assert both.value.best == alone.value.best + 1.0
 
 
@@ -83,7 +86,7 @@ def test_non_finite_integral_raises(bad):
     # inf nodes meet the zero Gauss weights, so 0 * inf is expected here
     with np.errstate(invalid="ignore"):
         with pytest.raises(AccuracyError) as exc_info:
-            _run_pieces([(lambda x: np.full_like(x, bad), 0.0, 1.0)], 1e-10, 100)
+            _run_pieces([(lambda x: np.full_like(x, bad), 0.0, 1.0)], 1e-10)
         assert exc_info.value.best is not None
         assert exc_info.value.err_est is not None
         with pytest.raises(AccuracyError):
