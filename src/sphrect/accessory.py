@@ -145,6 +145,8 @@ def _w_integral(f, tol: float, what: str) -> float:
     within tol; past 2048 nodes (a branch point of f crowding an end,
     as for k -> 1) hands f to the adaptive engine instead.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
     prev = math.nan
     n = _GAUSS_N0
     while n <= _GAUSS_NMAX:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import heapq
-import itertools
 import math
 from typing import Callable, Sequence
 
@@ -20,11 +19,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = [
-    "integrate_singular",
-    "integrate_segment",
-    "integrate_arc",
-]
+__all__ = ["integrate_singular", "integrate_segment", "integrate_arc"]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 2000
@@ -96,15 +91,17 @@ def _run_pieces(pieces: Sequence[tuple[Callable, float, float]],
     last such failure is raised with that total; a non-finite total or
     error estimate fails the same way.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"quadrature tolerance must be finite and > 0, got {tol!r}")
     per_tol = tol / len(pieces)
     used = 0
-    tick = itertools.count()
     total, total_err = 0.0 + 0.0j, 0.0
     failed = None
     for f, a, b in pieces:
         val, err = _panel(f, a, b)
         used += 1
-        heap = [(-err, next(tick), a, b, val, err)]  # splittable panels, worst first
+        # splittable panels, worst first; the panel count breaks ties in order
+        heap = [(-err, used, a, b, val, err)]
         frozen_err = 0.0
         while err > per_tol and heap:
             _, _, pa, pb, pval, perr = heapq.heappop(heap)
@@ -112,8 +109,7 @@ def _run_pieces(pieces: Sequence[tuple[Callable, float, float]],
                 frozen_err += perr  # cannot split further at this precision
                 continue
             if used + 2 > DEFAULT_BUDGET:
-                failed = (f"quadrature budget exhausted (err ~ {err:.3e}, "
-                          f"tol {per_tol:.3e})")
+                failed = f"quadrature budget exhausted (err ~ {err:.3e}, tol {per_tol:.3e})"
                 break
             used += 2
             pm = 0.5 * (pa + pb)
@@ -121,8 +117,8 @@ def _run_pieces(pieces: Sequence[tuple[Callable, float, float]],
             v2, e2 = _panel(f, pm, pb)
             val += (v1 + v2) - pval
             err += (e1 + e2) - perr
-            heapq.heappush(heap, (-e1, next(tick), pa, pm, v1, e1))
-            heapq.heappush(heap, (-e2, next(tick), pm, pb, v2, e2))
+            heapq.heappush(heap, (-e1, used - 1, pa, pm, v1, e1))
+            heapq.heappush(heap, (-e2, used, pm, pb, v2, e2))
         else:
             if err > per_tol:
                 failed = f"quadrature stalled at machine resolution (err ~ {frozen_err:.3e})"
@@ -138,10 +134,15 @@ def _run_pieces(pieces: Sequence[tuple[Callable, float, float]],
 def _from_end(g: Callable, h: float, p: float = 0.0) -> tuple[Callable, float, float]:
     """The piece (F, 0, 1) whose integral is int_0^h d^p g(d) dd.
 
-    d = h u^2 folds the weight d^p, p > -1, into the smooth
+    d = h u^2 folds the weight d^p, p >= -1/2, into the smooth
     F(u) = 2 h^(p+1) u^(2p+1) g(h u^2); g takes the displacement d from
-    the end, so nodes crowding the end keep their full precision.
+    the end, so nodes crowding the end keep their full precision.  For
+    -1 < p < -1/2, where u^(2p+1) is still singular, d = h u^r with
+    r = 1/(p+1) folds the weight away: F(u) = r h^(p+1) g(h u^r).
     """
+    if p < -0.5:
+        r, scale = 1.0 / (p + 1.0), h ** (p + 1.0) / (p + 1.0)
+        return (lambda u: scale * g(h * u ** r), 0.0, 1.0)
     scale, power = 2.0 * h ** (p + 1.0), 2.0 * p + 1.0
     return (lambda u: scale * u ** power * g(h * u * u), 0.0, 1.0)
 

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphrect import quadrature
+from sphrect import L_eval, bigF, boundary_check, quadrature
 from sphrect.errors import AccuracyError, DomainError
 from sphrect.quadrature import (_run_pieces, integrate_arc, integrate_segment,
                                 integrate_singular)
@@ -38,6 +40,19 @@ def test_beta_closed_form(p, q):
                 / math.gamma(p + q + 2.0))
     val, _ = integrate_singular(lambda x: 1.0, -1.0, 1.0, (p, q), tol=1e-12)
     assert val == pytest.approx(expected, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-0.999, 3.0), st.floats(-0.999, 3.0), st.floats(-5.0, 5.0),
+       st.floats(1e-3, 2.0))
+def test_beta_over_the_exponent_domain(p, q, a, width):
+    # exponents below -1/2 used to leave u^(2p+1) singular after the
+    # u^2 substitution, and the engine gave up on about one case in six
+    b = a + width
+    expected = ((b - a) ** (p + q + 1.0) * math.gamma(p + 1.0) * math.gamma(q + 1.0)
+                / math.gamma(p + q + 2.0))
+    val, _ = integrate_singular(np.ones_like, a, b, (p, q))
+    assert abs(val - expected) <= 1e-10
 
 
 def test_singular_domain_checks():
@@ -91,6 +106,23 @@ def test_non_finite_integral_raises(bad):
         assert exc_info.value.err_est is not None
         with pytest.raises(AccuracyError):
             integrate_arc(lambda z: np.full_like(z, bad), 0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda sol, tol: integrate_singular(lambda x: np.cos(30.0 * x), -1.0, 1.0,
+                                        (0.0, 0.0), tol=tol),
+    lambda sol, tol: L_eval(sol, 0.5, tol=tol),
+    lambda sol, tol: L_eval(sol, 0.3 + 0.7j, tol=tol),
+    lambda sol, tol: boundary_check(sol, 4, tol=tol),
+    lambda sol, tol: bigF(2.0, 0.5, tol=tol),
+], ids=["integrate_singular", "L_eval_real", "L_eval_complex", "boundary_check",
+        "bigF"])
+def test_bad_tolerance_rejected(sol_k2, call, tol):
+    # nan never failed `err > tol`, so it returned the first, unrefined
+    # value; 0 and -1 spent the whole budget before failing
+    with pytest.raises(DomainError):
+        call(sol_k2, tol)
 
 
 def test_segment_constant_and_linear():
