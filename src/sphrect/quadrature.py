@@ -66,13 +66,13 @@ def _panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fx = f(mid + half * _NODES)
-    resk = half * (_WK @ fx)
-    resg = half * (_WG @ fx)
+    resk = half * np.sum(_WK * fx)
+    resg = half * np.sum(_WG * fx)
     mean = resk / (b - a)
     # |half|: panels may run right-to-left (reversed arcs), but the
     # error magnitudes must stay nonnegative
-    resabs = abs(half) * float(_WK @ np.abs(fx))
-    resasc = abs(half) * float(_WK @ np.abs(fx - mean))
+    resabs = abs(half) * float(np.sum(_WK * np.abs(fx)))
+    resasc = abs(half) * float(np.sum(_WK * np.abs(fx - mean)))
     err = abs(resk - resg)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
