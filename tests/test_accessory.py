@@ -270,6 +270,29 @@ def test_solve_family2_near_is_bit_identical(k):
         _same_solution(solve_family2(k, near=near), plain)
 
 
+# (solver, k, near) -> (c, residual), exactly as the solver returns them:
+# a change meant to be bit-identical must keep every bit.  1 + 1e-6 takes
+# the adaptive fallback at every probe; 1e8 is near the largest
+# second-family k that solves.
+_PINNED = [
+    (solve_family1, 1.2, None, 0.19527249555576617, 0.0),
+    (solve_family1, 2.0, None, 0.7320508075688995, -2.864375403532904e-14),
+    (solve_family1, 2.4, None, 0.9811647473446926, -1.1102230246251565e-16),
+    (solve_family1, 1.000001, None, 3.973738149607291e-06, 0.0),
+    (solve_family2, 2.5, None, 1.0428457682691556, 1.4210854715202004e-14),
+    (solve_family2, 3.0, None, 1.3491606530153228, -1.0880185641326534e-13),
+    (solve_family2, 40.0, None, 23.571858638974316, 4.440892098500626e-16),
+    (solve_family2, 1e8, None, 59999999.57333333, 4.440892098500626e-16),
+    (solve_family2, 3.05, 1.35, 1.3796512315689915, -1.0347278589506459e-13),
+]
+
+
+@pytest.mark.parametrize("solve, k, near, c, residual", _PINNED)
+def test_solver_bits_pinned(solve, k, near, c, residual):
+    sol = solve.__wrapped__(k, near=near)  # past the lru_cache
+    assert (sol.c, sol.residual) == (c, residual)
+
+
 def test_solver_caches():
     assert solve_family1(2.0) is solve_family1(2.0)
     assert solve_family2(3.0) is solve_family2(3.0)
