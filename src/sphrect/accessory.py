@@ -138,8 +138,27 @@ def _gauss_w(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _w_integral(f, tol: float, what: str) -> float:
-    """Integral of w(x) f(x) over (-1, 1) for f analytic near [-1, 1].
+def _k_factors(k: float, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The c-free factors k - x, k + x, sqrt((k-x)/(k+x)) and -2k/(k+x)
+    of both divided differences below."""
+    kmx, kpx = k - x, k + x
+    return kmx, kpx, np.sqrt(kmx / kpx), -2.0 * k / kpx
+
+
+@lru_cache(maxsize=16)  # one solve uses at most 8 rule sizes
+def _gauss_k(k: float, n: int) -> tuple[np.ndarray, ...]:
+    """The n-point rule for w followed by the c-free factors of k at its
+    nodes, shared by every evaluation of a condition at one k."""
+    x, w = _gauss_w(n)
+    factors = _k_factors(k, x)
+    for arr in factors:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return (x, w) + factors
+
+
+def _w_integral(f, tol: float, what: str, k: float | None = None) -> float:
+    """Integral of w(x) f(x) over (-1, 1) for f analytic near [-1, 1];
+    given k, of w(x) f(x, *_k_factors(k, x)).
 
     Doubles the Gauss rule from 16 nodes until two successive sums agree
     within tol; past 2048 nodes (a branch point of f crowding an end,
@@ -150,13 +169,14 @@ def _w_integral(f, tol: float, what: str) -> float:
     prev = math.nan
     n = _GAUSS_N0
     while n <= _GAUSS_NMAX:
-        x, w = _gauss_w(n)
-        total = float(np.dot(w, f(x)))
+        x, w, *factors = _gauss_w(n) if k is None else _gauss_k(k, n)
+        total = float(np.dot(w, f(x, *factors)))
         if abs(total - prev) <= tol:
             return total
         prev = total
         n *= 2
-    val, err = integrate_singular(f, -1.0, 1.0, (0.5, -0.5), tol=tol)
+    g = f if k is None else (lambda x: f(x, *_k_factors(k, x)))
+    val, err = integrate_singular(g, -1.0, 1.0, (0.5, -0.5), tol=tol)
     if not math.isfinite(val):
         raise AccuracyError(f"non-finite value of {what}", best=val, err_est=err)
     return float(val)
@@ -183,11 +203,11 @@ def bigF(k: float, c: float, tol: float = 1e-10) -> float:
 
     # g_s(x) = q(x) (c + k/c)/(x + k/c) with q(x)^2 = C (k-x)/(k+x) and
     # q(c) = g_c; split g_s - g_c = q (c - x)/(x + k/c) + (q - g_c)
-    def divided(x: np.ndarray) -> np.ndarray:
-        q = np.sqrt(big_c * (k - x) / (k + x))
-        return -q / (x + kc) - 2.0 * k * big_c / ((k + x) * (k + c) * (q + g_c))
+    def divided(x, kmx, kpx, s, m2k):
+        q = np.sqrt(big_c * kmx / kpx)
+        return -q / (x + kc) - 2.0 * k * big_c / (kpx * (k + c) * (q + g_c))
 
-    return _w_integral(divided, tol, f"F(k={k}, c={c})") + math.pi * g_c
+    return _w_integral(divided, tol, f"F(k={k}, c={c})", k) + math.pi * g_c
 
 
 def amp_A(k: float, c: float) -> float:
@@ -224,12 +244,10 @@ def family2_integral(k: float, c: float, tol: float = 1e-10) -> float:
     scale = math.sqrt((c - 1.0) * (k + c) / ((c + 1.0) * (k - c)))
 
     # (s(x) - s(q))/(x - q) = -2k/((k+x)(k+q)(s(x)+s(q))), at q = c and p
-    def divided(x: np.ndarray) -> np.ndarray:
-        s = np.sqrt((k - x) / (k + x))
-        return (-2.0 * k / (k + x)) * (1.0 / ((k + c) * (s + s_c))
-                                       - 1.0 / (kp * (s + s_p)))
+    def divided(x, kmx, kpx, s, m2k):
+        return m2k * (1.0 / ((k + c) * (s + s_c)) - 1.0 / (kp * (s + s_p)))
 
-    total = _w_integral(divided, tol / scale, f"family-2 integral (k={k}, c={c})")
+    total = _w_integral(divided, tol / scale, f"family-2 integral (k={k}, c={c})", k)
     return scale * (total + math.pi * (s_c - s_p))
 
 
