@@ -112,6 +112,9 @@ class AccessorySolution:
 
 def bethe_h(k: float, x: float) -> float:
     """The cross-ratio h(x) = (1+x)(k-x)/((1-x)(k+x))."""
+    _check_k(k)
+    if not math.isfinite(x):
+        raise DomainError(f"need finite x, got {x!r}")
     if x == 1.0 or x == -k:
         raise DomainError(f"h has a pole at x = {x}")
     return (1.0 + x) * (k - x) / ((1.0 - x) * (k + x))
@@ -197,6 +200,7 @@ def bigF(k: float, c: float, tol: float = 1e-10) -> float:
     """
     if not (k > 1.0 and 0.0 < c < 1.0):
         raise DomainError(f"need k > 1 and c in (0,1), got k={k!r}, c={c!r}")
+    _check_k(k)
     big_c = (1.0 - c) * (k + c) / ((1.0 + c) * (k - c))
     g_c = math.sqrt((1.0 - c) / (1.0 + c))
     kc = k / c
@@ -215,6 +219,7 @@ def amp_A(k: float, c: float) -> float:
     families: c in (0, 1) for the first, c in (1, k) for the second."""
     if not (1.0 < k and 0.0 < c < k and c != 1.0):
         raise DomainError(f"need 0 < c < k, c != 1 < k, got c={c!r}, k={k!r}")
+    _check_k(k)
     return (c + k / c) * math.sqrt(abs(1.0 - c) * (k + c) / ((1.0 + c) * (k - c)))
 
 
@@ -238,10 +243,14 @@ def family2_integral(k: float, c: float, tol: float = 1e-10) -> float:
         raise DomainError(f"second family requires k > {k_crit}, got {k!r}")
     if not 1.0 < c < k:
         raise DomainError(f"need c in (1, k), got c={c!r}")
+    _check_k(k)
     s_c = math.sqrt((k - c) / (k + c))
     s_p = math.sqrt((c + 1.0) / (c - 1.0))
     kp = k * (c - 1.0) / c  # k + p, free of cancellation as c -> 1
     scale = math.sqrt((c - 1.0) * (k + c) / ((c + 1.0) * (k - c)))
+    if not 0.0 < scale < math.inf:  # a product left the double range
+        raise AccuracyError(f"family-2 integral (k={k}, c={c}) out of double "
+                            f"range: scale {scale}", best=math.nan)
 
     # (s(x) - s(q))/(x - q) = -2k/((k+x)(k+q)(s(x)+s(q))), at q = c and p
     def divided(x, kmx, kpx, s, m2k):
@@ -305,7 +314,7 @@ def _family2_grid(k: float) -> list[float]:
     span = k - 1.0
     offsets = np.geomspace(1e-6, 0.45 * span, 22)
     pts = np.concatenate([1.0 + offsets, k - offsets])
-    return sorted(set(float(p) for p in pts))
+    return sorted(set(float(p) for p in pts if 1.0 < p < k))  # k - 1e-6 may round to k
 
 
 # per family: the condition (zero at the root), the probe grid and the

@@ -45,6 +45,8 @@ def modulus_oracle(k: float, tol: float = 1e-10) -> float:
     Slower than the closed form; used to validate it.
     """
     k = _check_k(k)
+    if k * k == math.inf:
+        raise AccuracyError(f"k^2 overflows at k={k}", best=math.nan)
 
     def fw(t):
         return 1.0 / np.sqrt((1.0 + t) * (k * k - t * t))

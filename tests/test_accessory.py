@@ -7,8 +7,9 @@ from sphrect import accessory
 from sphrect import (AccessorySolution, Family, QuadParam, amp_A, bethe_h,
                      bigF, family2_integral, modulus_of_k, solve_family1,
                      solve_family2)
-from sphrect.accessory import _scan_bracket
-from sphrect.errors import BracketError, DomainError
+from sphrect.accessory import _family2_grid, _scan_bracket
+from sphrect.errors import AccuracyError, BracketError, DomainError
+from sphrect.modulus import modulus_oracle
 
 
 def test_bethe_h_values():
@@ -170,6 +171,32 @@ def test_solve_family2_approaches_one(consts):
 def test_solve_family2_domain():
     with pytest.raises(DomainError):
         solve_family2(2.0)
+
+
+@pytest.mark.parametrize("k", [1e9, 1e11, 1e12, 1e50, 1e200, 1e300])
+def test_solve_family2_large_k_fails_typed(k):
+    # every finite k > k_crit is in the domain, and every probe lies in
+    # (1, k); past about 1e8 the quadrature gives up (AccuracyError), and
+    # past about 1e150 a product in the integral's scale leaves the doubles
+    assert all(1.0 < p < k for p in _family2_grid(k))
+    with pytest.raises(AccuracyError):
+        solve_family2.__wrapped__(k)
+
+
+@pytest.mark.parametrize("fun, args, error", [
+    (amp_A, (math.inf, 0.5), DomainError),
+    (bethe_h, (math.nan, 0.5), DomainError),
+    (bethe_h, (2.0, math.nan), DomainError),
+    (bethe_h, (math.inf, 0.5), DomainError),
+    (bigF, (math.inf, 0.5), DomainError),
+    (family2_integral, (1e308, 2.0), AccuracyError),
+    (modulus_oracle, (1e300,), AccuracyError),
+])
+def test_helpers_raise_typed_errors(fun, args, error):
+    # never NaN and never an untyped error: k = inf is outside the domain,
+    # while k = 1e308 and 1e300 are inside it but overflow a double product
+    with pytest.raises(error):
+        fun(*args)
 
 
 def test_solution_validation(sol_k2):

@@ -110,6 +110,15 @@ def test_solve_nonconvergence_exit():
     assert "converge" in err
 
 
+@pytest.mark.parametrize("k", ["1e12", "1e300"])
+def test_solve_large_k_nonconvergence_exit(k):
+    # a finite k above k_crit is in the domain: past the measured limit
+    # (about 1e8) the solve fails to converge, not a usage error
+    code, _, err = run_cli("solve", "--k", k)
+    assert code == 3
+    assert "converge" in err
+
+
 def test_solve_next_to_collar():
     # k_crit - 1.16e-6: solved, with 1 - c close to 0.617 |k - k_crit|
     code, out, _ = run_cli("solve", "--k", "2.430504")
